@@ -241,13 +241,6 @@ def texp(a):
     return _make(out_data, (a,), backward)
 
 
-def tlog(a):
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
 def tsqrt(a):
     out_data = np.sqrt(a.data)
 
@@ -304,17 +297,6 @@ def narrow(a, axis, start, length):
         a._accumulate(full)
 
     return _make(np.ascontiguousarray(a.data[idx]), (a,), backward)
-
-
-def crop_spatial(a, target):
-    """Crop the trailing three axes of an NCDHW tensor to ``target`` dims."""
-    for axis, want in zip((2, 3, 4), target):
-        have = a.data.shape[axis]
-        if want > have:
-            raise DimensionError(f"cannot crop axis {axis} from {have} to {want}")
-        if want < have:
-            a = narrow(a, axis, 0, want)
-    return a
 
 
 def concat(parts, axis):
@@ -506,12 +488,6 @@ def _kernel_grad_from_cols(cols, gout, ksize, channels):
     gmat = np.moveaxis(gout, 1, -1).reshape(-1, f)
     dk = gmat.T @ cols                                  # [F, k1*k2*k3*C]
     return dk.reshape((f,) + tuple(ksize) + (channels,)).transpose(0, 4, 1, 2, 3)
-
-
-def _kernel_grad(x_padded, gout, ksize, stride):
-    """dK[f,c,w] = sum_n sum_o x_padded[n,c,o*stride+w] * gout[n,f,o]."""
-    cols, _ = _im2col(x_padded, ksize, stride)
-    return _kernel_grad_from_cols(cols, gout, ksize, x_padded.shape[1])
 
 
 def _parity_plan(parity, stride, pad, target):

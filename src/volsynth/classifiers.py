@@ -17,7 +17,6 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .datasets import one_hot
-from .icwgan import conv_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +91,15 @@ class DNNClassifier(nn.Module):
     """Critic-shaped tower without label concatenation; dense head to logits."""
 
     def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="clf"):
-        channels = list(config.channels)
-        self.sizes = conv_schedule(dims, len(channels))
         self.num_classes = num_classes
-        self.alpha = config.leaky_alpha
-        widths = [1] + channels
-        self.convs = [
-            nn.Conv3d(widths[i], widths[i + 1], rng, f"{name}.conv{i}", dtype=dtype)
-            for i in range(len(channels))
-        ]
-        flat = channels[-1] * int(np.prod(self.sizes[-1]))
-        self.head = nn.Dense(flat, num_classes, rng, f"{name}.head", dtype=dtype)
+        self.tower = nn.ConvTower(dims, 1, config.channels, config.leaky_alpha, rng, name,
+                                  dtype=dtype)
+        self.head = nn.Dense(self.tower.out_features, num_classes, rng, f"{name}.head",
+                             dtype=dtype)
 
     def forward(self, x):
-        h = x if isinstance(x, Tensor) else Tensor(x)
-        for conv in self.convs:
-            h = ad.leaky_relu(conv(h), self.alpha)
-        return self.head(ad.flatten(h))
+        flat, _ = self.tower.forward(x if isinstance(x, Tensor) else Tensor(x))
+        return self.head(flat)
 
     def predict(self, volumes_array):
         dtype = self.head.weight.data.dtype
@@ -147,7 +138,7 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
     x_all = x_all.astype(dtype)
     onehots = one_hot(y_all, num_classes, dtype=dtype)
     history = DNNHistory()
-    best = (-np.inf, None, -1)
+    best = (-np.inf, None, config.epochs - 1)   # (score, state, epoch)
     n = x_all.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -171,9 +162,7 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
                 best = (acc, model.state_arrays(), epoch)
     if best[1] is not None:
         model.load_state(best[1])
-        history.best_epoch = best[2]
-    else:
-        history.best_epoch = config.epochs - 1
+    history.best_epoch = best[2]
     return model, history
 
 

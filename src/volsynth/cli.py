@@ -21,7 +21,7 @@ from . import gmm as gmm_mod
 from . import harness
 from . import icwgan as gan_mod
 from . import nn
-from .datasets import load_dataset, make_blob_dataset, save_dataset
+from .datasets import VolumeDataset, load_dataset, make_blob_dataset, save_dataset
 from .volumes import Volume, apply_mask, compute_mask, write_volume
 
 
@@ -35,6 +35,12 @@ def _dims(text):
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _config_from_args(cls, args):
+    """``cls`` from the ``--config`` JSON block (if any) and ``--seed``."""
+    return nn.model_config(cls, _load_json(args.config) if args.config else {},
+                           seed=args.seed)
 
 
 def cmd_synth_data(args):
@@ -67,13 +73,9 @@ def cmd_convert(args):
     return 0
 
 
-def _mask_from_manifest(dataset, strategy):
-    return compute_mask(dataset.volumes, strategy=strategy)
-
-
 def cmd_train_gmm(args):
     dataset = load_dataset(args.manifest)
-    mask = _mask_from_manifest(dataset, args.mask_strategy)
+    mask = compute_mask(dataset.volumes, strategy=args.mask_strategy)
     config = gmm_mod.EMConfig(num_components=args.components, seed=args.seed)
     model = gmm_mod.fit_class_gmms(dataset, mask, config)
     gmm_mod.save_gmm(model, args.out)
@@ -83,9 +85,7 @@ def cmd_train_gmm(args):
 
 def cmd_train_cvae(args):
     dataset = load_dataset(args.manifest)
-    block = _load_json(args.config) if args.config else {}
-    block.setdefault("seed", args.seed)
-    config = harness._cvae_config({"cvae": block}, args.seed)
+    config = _config_from_args(cvae_mod.CVAEConfig, args)
     model, history = cvae_mod.train_cvae(dataset, config)
     cvae_mod.save_cvae(model, args.out)
     last = history.epochs[-1]
@@ -95,9 +95,7 @@ def cmd_train_cvae(args):
 
 def cmd_train_gan(args):
     dataset = load_dataset(args.manifest)
-    block = _load_json(args.config) if args.config else {}
-    block.setdefault("seed", args.seed)
-    config = harness._gan_config({"icwgan": block}, args.seed)
+    config = _config_from_args(gan_mod.GANConfig, args)
     gen, disc, log = gan_mod.train_icwgan(dataset, config)
     gan_mod.save_gan(gen, disc, args.out, dataset.dims, dataset.num_classes, config)
     if args.log:
@@ -108,27 +106,15 @@ def cmd_train_gan(args):
 
 def cmd_sample(args):
     _, extra = nn.load_checkpoint(args.checkpoint)
-    kind = (extra or {}).get("kind")
-    if kind == "gmm":
-        model = gmm_mod.load_gmm(args.checkpoint)
-        volumes = model.sample_volumes(args.class_index, args.count, args.seed)
-    elif kind == "cvae":
-        model, _ = cvae_mod.load_cvae(args.checkpoint)
-        volumes = cvae_mod.sample_cvae(model, args.class_index, args.count, args.seed)
-    elif kind == "icwgan":
-        gen, _, _ = gan_mod.load_gan(args.checkpoint)
-        volumes = gan_mod.sample_gan(gen, args.class_index, args.count, args.seed)
-    else:
+    generator = harness.GENERATORS.get((extra or {}).get("kind"))
+    if generator is None:
         print(f"error: {args.checkpoint} is not a generator checkpoint", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
-    records = []
-    for i, vol in enumerate(volumes):
-        name = f"sample_c{args.class_index}_{i:05d}.vvol"
-        write_volume(vol, os.path.join(args.out, name))
-        records.append(f"{name},{args.class_index}")
-    with open(os.path.join(args.out, "manifest.csv"), "w") as fh:
-        fh.write("\n".join(records) + "\n")
+    model = generator.load(args.checkpoint)
+    volumes = generator.sample(model, args.class_index, args.count, args.seed)
+    class_table = [f"class_{c}" for c in range(model.num_classes)]
+    samples = VolumeDataset(volumes, [args.class_index] * len(volumes), class_table)
+    save_dataset(samples, args.out, prefix=f"sample_c{args.class_index}")
     print(f"wrote {len(volumes)} samples to {args.out}")
     return 0
 
@@ -136,9 +122,7 @@ def cmd_sample(args):
 def cmd_train_clf(args):
     dataset = load_dataset(args.manifest)
     if args.kind == "dnn":
-        block = _load_json(args.config) if args.config else {}
-        block.setdefault("seed", args.seed)
-        config = harness._dnn_config({"dnn": block}, args.seed)
+        config = _config_from_args(clf.DNNConfig, args)
         model, _ = clf.train_dnn_classifier(dataset.stack(np.float32), dataset.labels,
                                             config, num_classes=dataset.num_classes)
         arrays = model.state_arrays()
@@ -147,7 +131,7 @@ def cmd_train_clf(args):
                  "channels": list(config.channels), "dtype": config.dtype}
         nn.save_checkpoint(args.out, arrays, precision=config.dtype, extra=extra)
     else:
-        mask = _mask_from_manifest(dataset, args.mask_strategy)
+        mask = compute_mask(dataset.volumes, strategy=args.mask_strategy)
         features = np.asarray([apply_mask(v, mask) for v in dataset.volumes])
         model = clf.train_svm(features, dataset.labels, seed=args.seed, mask=mask)
         arrays = {"weights": model.weights, "biases": model.biases,
@@ -189,7 +173,7 @@ def cmd_augment_eval(args):
     base.pop("output_dir", None)
     os.makedirs(out_dir, exist_ok=True)
     dataset = harness.load_config_dataset(base["dataset"])
-    reports = []
+    runs = []
     for regime, gen, classifier in cells:
         cell_cfg = dict(base)
         cell_cfg["regime"] = regime
@@ -204,15 +188,22 @@ def cmd_augment_eval(args):
         config = harness.ExperimentConfig.from_dict(cell_cfg)
         print(f"running {regime} / {gen or '-'} / {classifier}", file=sys.stderr)
         report = harness.run_regime(config, dataset=dataset, log=harness.log_stderr)
-        reports.append(report)
+        runs.append(report.to_dict())
         name = f"run_{regime}_{gen or 'none'}_{classifier}.json"
         harness.write_run_json(report, os.path.join(out_dir, name))
-    with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-        fh.write(harness.report_rows(reports, "mean"))
-    with open(os.path.join(out_dir, "variance.csv"), "w") as fh:
-        fh.write(harness.report_rows(reports, "variance"))
-    print(f"wrote {len(reports)} runs to {out_dir}")
+    _write_tables(runs, out_dir)
+    print(f"wrote {len(runs)} runs to {out_dir}")
     return 0
+
+
+def _write_tables(runs, out_dir):
+    """report.csv and variance.csv of stored runs; returns both texts."""
+    tables = []
+    for which, name in (("mean", "report.csv"), ("variance", "variance.csv")):
+        tables.append(harness.rows_from_stored(runs, which))
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(tables[-1])
+    return tables
 
 
 def cmd_report(args):
@@ -220,13 +211,7 @@ def cmd_report(args):
     if not paths:
         print(f"error: no run_*.json files under {args.runs}", file=sys.stderr)
         return 1
-    runs = [harness.load_run_json(p) for p in paths]
-    mean_csv = harness.rows_from_stored(runs, "mean")
-    var_csv = harness.rows_from_stored(runs, "variance")
-    with open(os.path.join(args.runs, "report.csv"), "w") as fh:
-        fh.write(mean_csv)
-    with open(os.path.join(args.runs, "variance.csv"), "w") as fh:
-        fh.write(var_csv)
+    mean_csv, var_csv = _write_tables([harness.load_run_json(p) for p in paths], args.runs)
     sys.stdout.write(mean_csv)
     sys.stdout.write("variance:\n")
     sys.stdout.write(var_csv)

@@ -21,7 +21,6 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .datasets import one_hot
-from .icwgan import conv_schedule, deconv_schedule
 from .volumes import Volume
 
 
@@ -59,97 +58,39 @@ class LossParts:
         return self.reconstruction + self.kl
 
 
-class Encoder(nn.Module):
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="enc"):
-        channels = list(config.enc_channels)
-        self.sizes = conv_schedule(dims, len(channels))
-        self.num_classes = num_classes
-        self.alpha = config.leaky_alpha
-        self.label_proj = nn.LabelProjection(num_classes, tuple(dims), rng,
-                                             f"{name}.proj", dtype=dtype)
-        widths = [2] + channels       # volume channel + label channel
-        self.convs = [
-            nn.Conv3d(widths[i], widths[i + 1], rng, f"{name}.conv{i}", dtype=dtype)
-            for i in range(len(channels))
-        ]
-        flat = channels[-1] * int(np.prod(self.sizes[-1]))
-        self.mu_head = nn.Dense(flat, config.latent_dim, rng, f"{name}.mu", dtype=dtype)
-        self.logvar_head = nn.Dense(flat, config.latent_dim, rng, f"{name}.logvar",
-                                    dtype=dtype)
-
-    def forward(self, x, y):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        y = y if isinstance(y, Tensor) else Tensor(one_hot(np.asarray(y), self.num_classes)
-                                                   if np.asarray(y).ndim == 1 else y)
-        if x.data.shape[0] != y.data.shape[0]:
-            raise ad.DimensionError(
-                f"batch sizes differ: volumes {x.data.shape[0]} vs labels {y.data.shape[0]}")
-        h = ad.concat_channels(x, self.label_proj(y))
-        for conv in self.convs:
-            h = ad.leaky_relu(conv(h), self.alpha)
-        flat = ad.flatten(h)
-        return self.mu_head(flat), self.logvar_head(flat)
-
-
-class Decoder(nn.Module):
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="dec"):
-        channels = list(config.dec_channels)
-        layers = len(channels)
-        self.sizes = deconv_schedule(dims, layers)
-        self.num_classes = num_classes
-        self.latent_dim = config.latent_dim
-        self.seed_channels = channels[0]
-        self.seed_spatial = self.sizes[0]
-        seed_elems = channels[0] * int(np.prod(self.seed_spatial))
-        self.input_dense = nn.Dense(config.latent_dim + num_classes, seed_elems, rng,
-                                    f"{name}.input", dtype=dtype)
-        self.seed_bn = nn.BatchNorm3d(channels[0], f"{name}.bn0", dtype=dtype)
-        widths = channels + [1]
-        self.deconvs = [
-            nn.ConvTranspose3d(widths[i], widths[i + 1], rng, f"{name}.deconv{i}",
-                               dtype=dtype)
-            for i in range(layers)
-        ]
-        self.bns = [
-            nn.BatchNorm3d(widths[i + 1], f"{name}.bn{i + 1}", dtype=dtype)
-            for i in range(layers - 1)
-        ]
-
-    def forward(self, z, y, training):
-        z = z if isinstance(z, Tensor) else Tensor(z)
-        y = y if isinstance(y, Tensor) else Tensor(one_hot(np.asarray(y), self.num_classes)
-                                                   if np.asarray(y).ndim == 1 else y)
-        if z.data.shape[1] != self.latent_dim:
-            raise ad.DimensionError(
-                f"latent dim {z.data.shape[1]} does not match configured {self.latent_dim}")
-        n = z.data.shape[0]
-        h = self.input_dense(ad.concat([z, y], axis=1))
-        h = ad.reshape(h, (n, self.seed_channels) + tuple(self.seed_spatial))
-        h = ad.relu(self.seed_bn(h, training))
-        last = len(self.deconvs) - 1
-        for i, deconv in enumerate(self.deconvs):
-            h = ad.conv3d_transpose(h, deconv.kernel, deconv.bias, stride=deconv.stride,
-                                    pad=deconv.pad, output_dims=self.sizes[i + 1])
-            if i < last:
-                h = ad.relu(self.bns[i](h, training))
-            else:
-                h = ad.sigmoid(h)
-        return h
-
-
 class CVAE(nn.Module):
     def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
         self.dims = tuple(dims)
         self.num_classes = num_classes
         self.config = config
-        self.encoder = Encoder(dims, num_classes, config, rng, dtype=dtype)
-        self.decoder = Decoder(dims, num_classes, config, rng, dtype=dtype)
+        self.label_proj = nn.LabelProjection(num_classes, self.dims, rng, "enc.proj",
+                                             dtype=dtype)
+        # input channels: the volume and its label volume
+        self.encoder = nn.ConvTower(dims, 2, config.enc_channels, config.leaky_alpha, rng,
+                                    "enc", dtype=dtype)
+        flat = self.encoder.out_features
+        self.mu_head = nn.Dense(flat, config.latent_dim, rng, "enc.mu", dtype=dtype)
+        self.logvar_head = nn.Dense(flat, config.latent_dim, rng, "enc.logvar", dtype=dtype)
+        self.decoder = nn.DeconvTower(dims, config.latent_dim + num_classes,
+                                      config.dec_channels, rng, "dec", dtype=dtype)
 
     def encode(self, x, y):
-        return self.encoder.forward(x, y)
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        y = nn.label_tensor(y, self.num_classes)
+        if x.data.shape[0] != y.data.shape[0]:
+            raise ad.DimensionError(
+                f"batch sizes differ: volumes {x.data.shape[0]} vs labels {y.data.shape[0]}")
+        flat, _ = self.encoder.forward(ad.concat_channels(x, self.label_proj(y)))
+        return self.mu_head(flat), self.logvar_head(flat)
 
     def decode(self, z, y, training=False):
-        return self.decoder.forward(z, y, training)
+        z = z if isinstance(z, Tensor) else Tensor(z)
+        y = nn.label_tensor(y, self.num_classes)
+        if z.data.shape[1] != self.config.latent_dim:
+            raise ad.DimensionError(
+                f"latent dim {z.data.shape[1]} does not match configured "
+                f"{self.config.latent_dim}")
+        return self.decoder.forward(ad.concat([z, y], axis=1), training)
 
 
 def reparameterize(mu, logvar, eps):
@@ -211,7 +152,7 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
     labels = one_hot(dataset.labels, dataset.num_classes, dtype=dtype)
 
     history = CVAEHistory()
-    best = (np.inf, None, -1)
+    best = (np.inf, None, config.epochs - 1)   # (score, state, epoch)
     n = train_indices.size
     for epoch in range(config.epochs):
         order = train_indices[rng.permutation(n)]
@@ -241,9 +182,7 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
                 best = (val_loss, model.state_arrays(), epoch)
     if best[1] is not None:
         model.load_state(best[1])
-        history.best_epoch = best[2]
-    else:
-        history.best_epoch = config.epochs - 1
+    history.best_epoch = best[2]
     return model, history
 
 
@@ -264,54 +203,30 @@ def evaluate_elbo(model, dataset, indices, config):
 
 def sample_cvae(model, class_index, count, seed):
     """Decode prior draws conditioned on one class (inference mode)."""
-    if not 0 <= class_index < model.num_classes:
-        raise KeyError(
-            f"unknown class {class_index}; model covers 0..{model.num_classes - 1}")
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    dtype = model.decoder.input_dense.weight.data.dtype
-    z = Tensor(rng.standard_normal((count, model.config.latent_dim)).astype(dtype))
-    y = Tensor(one_hot(np.full(count, class_index), model.num_classes, dtype=dtype))
+    z, y = nn.prior_draws(model.num_classes, model.config.latent_dim,
+                          model.decoder.input_dense.weight.data.dtype, class_index, count, seed)
     out = model.decode(z, y, training=False)
     return [Volume(out.data[i, 0]) for i in range(count)]
 
 
+# the config fields a checkpoint records: those that shape the model
+CHECKPOINT_FIELDS = ("latent_dim", "enc_channels", "dec_channels", "leaky_alpha",
+                     "reconstruction", "dtype")
+
+
 def save_cvae(model, path):
-    arrays = model.state_arrays()
-    for i, bn in enumerate([model.decoder.seed_bn] + model.decoder.bns):
-        arrays[f"dec.bnstate{i}.mean"] = bn.state.running_mean
-        arrays[f"dec.bnstate{i}.var"] = bn.state.running_var
-    cfg = model.config
-    extra = {
-        "kind": "cvae",
-        "dims": list(model.dims),
-        "num_classes": model.num_classes,
-        "latent_dim": cfg.latent_dim,
-        "enc_channels": list(cfg.enc_channels),
-        "dec_channels": list(cfg.dec_channels),
-        "leaky_alpha": cfg.leaky_alpha,
-        "reconstruction": cfg.reconstruction,
-        "dtype": cfg.dtype,
-    }
-    nn.save_checkpoint(path, arrays, precision=cfg.dtype, extra=extra)
+    extra = {"kind": "cvae", "dims": list(model.dims), "num_classes": model.num_classes}
+    extra.update((k, getattr(model.config, k)) for k in CHECKPOINT_FIELDS)
+    nn.save_checkpoint(path, model.state_arrays(), precision=model.config.dtype, extra=extra)
 
 
 def load_cvae(path):
     arrays, extra = nn.load_checkpoint(path)
     if not extra or extra.get("kind") != "cvae":
         raise nn.CheckpointError(f"{path} is not a CVAE checkpoint")
-    config = CVAEConfig(latent_dim=extra["latent_dim"],
-                        enc_channels=tuple(extra["enc_channels"]),
-                        dec_channels=tuple(extra["dec_channels"]),
-                        leaky_alpha=extra["leaky_alpha"],
-                        reconstruction=extra["reconstruction"],
-                        dtype=extra["dtype"])
+    config = nn.model_config(CVAEConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
     dtype = np.dtype(config.dtype).type
     model = CVAE(extra["dims"], extra["num_classes"], config,
                  np.random.default_rng(0), dtype=dtype)
     model.load_state(arrays)
-    for i, bn in enumerate([model.decoder.seed_bn] + model.decoder.bns):
-        bn.state.running_mean = arrays[f"dec.bnstate{i}.mean"].astype(bn.state.running_mean.dtype)
-        bn.state.running_var = arrays[f"dec.bnstate{i}.var"].astype(bn.state.running_var.dtype)
     return model, config

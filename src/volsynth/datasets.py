@@ -55,7 +55,8 @@ class VolumeDataset:
         self.provenance = list(provenance)
         if not (len(self.volumes) == len(self.labels) == len(self.provenance)):
             raise ValueError("volumes, labels, and provenance must be parallel")
-        if len(self.labels) and self.labels.max() >= len(self.class_table):
+        if len(self.labels) and (self.labels.min() < 0
+                                 or self.labels.max() >= len(self.class_table)):
             raise ValueError("label index outside the class table")
 
     def __len__(self):

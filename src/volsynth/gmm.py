@@ -118,6 +118,11 @@ class ClassGMM:
     def trained_classes(self):
         return sorted(self.per_class)
 
+    @property
+    def num_classes(self):
+        """Length of a class table that every trained class indexes into."""
+        return max(self.per_class) + 1
+
     def fit(self, features_by_class):
         for class_index, feats in sorted(features_by_class.items()):
             cfg = EMConfig(self.config.num_components, self.config.max_iters,

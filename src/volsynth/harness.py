@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import classifiers as clf
 from . import cvae as cvae_mod
 from . import gmm as gmm_mod
 from . import icwgan as gan_mod
+from . import nn
 from .datasets import (NOISY, REAL, SYNTHETIC, load_dataset, make_blob_dataset,
                        split_by_class_size, stratified_kfold)
 from .volumes import add_gaussian_noise, apply_mask, compute_mask
@@ -38,6 +40,10 @@ METRIC_NAMES = ("accuracy", "macro_f1", "precision", "recall")
 
 class ConfigError(ValueError):
     pass
+
+
+class LeakError(RuntimeError):
+    """Indices or non-real volumes crossed from training into validation or test."""
 
 
 _KNOWN_KEYS = {
@@ -188,38 +194,36 @@ def _carve_validation(dataset, back, trainval_local, rng):
 # model config blocks
 # ---------------------------------------------------------------------------
 
-def _gmm_config(models, seed):
-    block = dict(models.get("gmm", {}))
-    block.setdefault("seed", seed)
-    return gmm_mod.EMConfig(**block)
+class GeneratorKind(NamedTuple):
+    """How the harness and the CLI train, sample and load one generator kind."""
+
+    fit: Callable      # (dataset, train indices, models block, seed, mask) -> model
+    sample: Callable   # (model, class index, count, seed) -> [Volume]
+    load: Callable     # (checkpoint path) -> model
 
 
-def _cvae_config(models, seed):
-    block = dict(models.get("cvae", {}))
-    block.setdefault("seed", seed)
-    if "enc_channels" in block:
-        block["enc_channels"] = tuple(block["enc_channels"])
-    if "dec_channels" in block:
-        block["dec_channels"] = tuple(block["dec_channels"])
-    return cvae_mod.CVAEConfig(**block)
-
-
-def _gan_config(models, seed):
-    block = dict(models.get("icwgan", {}))
-    block.setdefault("seed", seed)
-    if "gen_channels" in block:
-        block["gen_channels"] = tuple(block["gen_channels"])
-    if "disc_channels" in block:
-        block["disc_channels"] = tuple(block["disc_channels"])
-    return gan_mod.GANConfig(**block)
-
-
-def _dnn_config(models, seed):
-    block = dict(models.get("dnn", {}))
-    block.setdefault("seed", seed)
-    if "channels" in block:
-        block["channels"] = tuple(block["channels"])
-    return clf.DNNConfig(**block)
+# entries look functions up through their modules at call time, so a caller
+# that replaces a module attribute (a tracer, a test) sees every call
+GENERATORS = {
+    "gmm": GeneratorKind(
+        fit=lambda dataset, idx, models, seed, mask: gmm_mod.fit_class_gmms(
+            dataset, mask, nn.model_config(gmm_mod.EMConfig, models.get("gmm", {}), seed=seed),
+            indices=idx),
+        sample=lambda model, c, count, seed: model.sample_volumes(c, count, seed),
+        load=lambda path: gmm_mod.load_gmm(path)),
+    "cvae": GeneratorKind(
+        fit=lambda dataset, idx, models, seed, mask: cvae_mod.train_cvae(
+            dataset.subset(idx),
+            nn.model_config(cvae_mod.CVAEConfig, models.get("cvae", {}), seed=seed))[0],
+        sample=lambda model, c, count, seed: cvae_mod.sample_cvae(model, c, count, seed),
+        load=lambda path: cvae_mod.load_cvae(path)[0]),
+    "icwgan": GeneratorKind(
+        fit=lambda dataset, idx, models, seed, mask: gan_mod.train_icwgan(
+            dataset.subset(idx),
+            nn.model_config(gan_mod.GANConfig, models.get("icwgan", {}), seed=seed))[0],
+        sample=lambda gen, c, count, seed: gan_mod.sample_gan(gen, c, count, seed),
+        load=lambda path: gan_mod.load_gan(path)[0]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +292,8 @@ def _phase_seeds(base_seed, fold, repeat):
 
 
 def _train_generator(kind, dataset, train_idx, cfg_models, seed, mask):
-    if kind == "gmm":
-        model = gmm_mod.fit_class_gmms(dataset, mask, _gmm_config(cfg_models, seed),
-                                       indices=train_idx)
-        return ("gmm", model)
-    train_ds = dataset.subset(train_idx)
-    if kind == "cvae":
-        model, _ = cvae_mod.train_cvae(train_ds, _cvae_config(cfg_models, seed))
-        return ("cvae", model)
-    if kind == "icwgan":
-        gen, _, _ = gan_mod.train_icwgan(train_ds, _gan_config(cfg_models, seed))
-        return ("icwgan", gen)
-    raise ConfigError(f"unknown generator kind {kind!r}")
-
-
-def _synthesize(trained, class_index, count, seed):
-    kind, model = trained
-    if kind == "gmm":
-        return model.sample_volumes(class_index, count, seed)
-    if kind == "cvae":
-        return cvae_mod.sample_cvae(model, class_index, count, seed)
-    return gan_mod.sample_gan(model, class_index, count, seed)
+    """(kind, model) trained on ``train_idx`` only."""
+    return kind, GENERATORS[kind].fit(dataset, train_idx, cfg_models, seed, mask)
 
 
 def _augment(config, dataset, train_idx, trained_generator, synth_seed, noise_seed):
@@ -318,10 +303,11 @@ def _augment(config, dataset, train_idx, trained_generator, synth_seed, noise_se
         return train_ds
     classes_present = sorted(set(int(c) for c in train_ds.labels))
     if config.regime == "real_synth":
+        kind, model = trained_generator
         volumes, labels = [], []
         for i, c in enumerate(classes_present):
-            volumes.extend(_synthesize(trained_generator, c, config.synth_per_class,
-                                       synth_seed + i))
+            volumes.extend(GENERATORS[kind].sample(model, c, config.synth_per_class,
+                                                   synth_seed + i))
             labels.extend([c] * config.synth_per_class)
         return train_ds.extended(volumes, labels, SYNTHETIC)
     rng = np.random.default_rng(noise_seed)
@@ -341,10 +327,10 @@ def _train_and_eval_classifier(config, dataset, aug_train, val_idx, test_idx,
                                mask, clf_seed):
     num_classes = dataset.num_classes
     test_ds = dataset.subset(test_idx)
-    assert all(p == REAL for p in test_ds.provenance), "synthetic data leaked into test"
-    if val_idx:
-        assert all(dataset.provenance[i] == REAL for i in val_idx), \
-            "synthetic data leaked into validation"
+    if any(p != REAL for p in test_ds.provenance):
+        raise LeakError("synthetic data leaked into test")
+    if any(dataset.provenance[i] != REAL for i in val_idx):
+        raise LeakError("synthetic data leaked into validation")
     if config.classifier == "svm":
         block = dict(config.models.get("svm", {}))
         features = np.asarray([apply_mask(v, mask) for v in aug_train.volumes])
@@ -355,7 +341,7 @@ def _train_and_eval_classifier(config, dataset, aug_train, val_idx, test_idx,
         test_features = np.asarray([apply_mask(v, mask) for v in test_ds.volumes])
         preds = model.predict(test_features)
     else:
-        dnn_cfg = _dnn_config(config.models, clf_seed)
+        dnn_cfg = nn.model_config(clf.DNNConfig, config.models.get("dnn", {}), seed=clf_seed)
         val_volumes = dataset.subset(val_idx).stack(np.float32) if val_idx else None
         val_labels = dataset.labels[list(val_idx)] if val_idx else None
         model, _ = clf.train_dnn_classifier(
@@ -384,9 +370,11 @@ def run_regime(config, dataset=None, log=None):
     for repeat in range(config.repeats):
         for fold, (train_idx, val_idx, test_idx) in enumerate(cells):
             t0 = time.time()
-            assert not (set(train_idx) & set(val_idx)), "train/val overlap"
-            assert not (set(train_idx) & set(test_idx)), "train/test overlap"
-            assert not (set(val_idx) & set(test_idx)), "val/test overlap"
+            for a, b, what in ((train_idx, val_idx, "train/val"),
+                               (train_idx, test_idx, "train/test"),
+                               (val_idx, test_idx, "val/test")):
+                if set(a) & set(b):
+                    raise LeakError(f"{what} overlap in fold {fold}")
             gen_seed, synth_seed, noise_seed, clf_seed = _phase_seeds(
                 config.seed, fold, repeat)
             mask = compute_mask([dataset.volumes[i] for i in train_idx],
@@ -411,20 +399,6 @@ def run_regime(config, dataset=None, log=None):
 # table output
 # ---------------------------------------------------------------------------
 
-def report_rows(reports, which="mean"):
-    rows = [REPORT_HEADER]
-    for rep in reports:
-        agg = rep.aggregate()[which]
-        rows.append(",".join([
-            REGIME_LABELS[rep.regime],
-            GENERATOR_LABELS[rep.generator],
-            rep.classifier.upper() if rep.classifier == "svm" else "DNN",
-            repr(agg["accuracy"]), repr(agg["macro_f1"]),
-            repr(agg["precision"]), repr(agg["recall"]),
-        ]))
-    return "\n".join(rows) + "\n"
-
-
 def write_run_json(report, path):
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
@@ -436,15 +410,22 @@ def load_run_json(path):
         return json.load(fh)
 
 
+def _table_order(run):
+    """Canonical row order: regime, then no generator before each kind, then classifier."""
+    return (REGIMES.index(run["regime"]),
+            ((None,) + GENERATOR_KINDS).index(run.get("generator")),
+            CLASSIFIER_KINDS.index(run["classifier"]))
+
+
 def rows_from_stored(runs, which="mean"):
+    """The mean or variance table of stored runs (``RunReport.to_dict()`` form)."""
     rows = [REPORT_HEADER]
-    for run in runs:
+    for run in sorted(runs, key=_table_order):
         agg = run["aggregate"][which]
-        clf_label = "SVM" if run["classifier"] == "svm" else "DNN"
         rows.append(",".join([
             REGIME_LABELS[run["regime"]],
             GENERATOR_LABELS[run.get("generator")],
-            clf_label,
+            run["classifier"].upper(),
             repr(agg["accuracy"]), repr(agg["macro_f1"]),
             repr(agg["precision"]), repr(agg["recall"]),
         ]))
@@ -481,16 +462,6 @@ def blob_fixture_profiles():
     }
 
 
-def _blob_split(dataset, seed, train_per_class, test_per_class):
-    rng = np.random.default_rng(seed)
-    train, test = [], []
-    for c in range(dataset.num_classes):
-        members = rng.permutation(dataset.class_indices(c))
-        train.extend(int(i) for i in members[:train_per_class])
-        test.extend(int(i) for i in members[train_per_class:train_per_class + test_per_class])
-    return train, test
-
-
 def blob_benchmark(seed, profiles=None, log=None, **overrides):
     """One seed of the desk-scale augmentation benchmark.
 
@@ -503,8 +474,9 @@ def blob_benchmark(seed, profiles=None, log=None, **overrides):
     per_class = params["train_per_class"] + params["test_per_class"]
     dataset = make_blob_dataset(params["num_classes"], per_class, params["dims"],
                                 seed=seed)
-    train_idx, test_idx = _blob_split(dataset, seed, params["train_per_class"],
-                                      params["test_per_class"])
+    [(train_idx, _, test_idx)] = _cells_for_split(
+        dataset, {"kind": "fixed", "train_per_class": params["train_per_class"],
+                  "test_per_class": params["test_per_class"]}, seed)
     train_ds = dataset.subset(train_idx)
     test_ds = dataset.subset(test_idx)
     mask = compute_mask(train_ds.volumes, strategy="nonconstant")
@@ -514,27 +486,25 @@ def blob_benchmark(seed, profiles=None, log=None, **overrides):
         if log:
             log(msg)
 
-    t0 = time.time()
     dnn_cfg = clf.DNNConfig(seed=seed, **profiles["dnn"])
-    model, _ = clf.train_dnn_classifier(train_ds.stack(np.float32), train_ds.labels,
-                                        dnn_cfg, num_classes=dataset.num_classes)
-    preds = model.predict(test_ds.stack(np.float32))
-    results["real_accuracy"] = float((preds == test_ds.labels).mean())
+
+    def dnn_accuracy(train):
+        model, _ = clf.train_dnn_classifier(train.stack(np.float32), train.labels,
+                                            dnn_cfg, num_classes=dataset.num_classes)
+        return float((model.predict(test_ds.stack(np.float32)) == test_ds.labels).mean())
+
+    t0 = time.time()
+    results["real_accuracy"] = dnn_accuracy(train_ds)
     say(f"[seed {seed}] DNN real accuracy {results['real_accuracy']:.4f} "
         f"({time.time() - t0:.0f}s)")
 
     t0 = time.time()
-    gmm_cfg = gmm_mod.EMConfig(seed=seed, **profiles["gmm"])
-    gmodel = gmm_mod.fit_class_gmms(train_ds, mask, gmm_cfg)
+    gmodel = GENERATORS["gmm"].fit(dataset, train_idx, profiles, seed, mask)
     volumes, labels = [], []
     for c in range(dataset.num_classes):
         volumes.extend(gmodel.sample_volumes(c, params["train_per_class"], seed + 101 + c))
         labels.extend([c] * params["train_per_class"])
-    aug = train_ds.extended(volumes, labels, SYNTHETIC)
-    model_aug, _ = clf.train_dnn_classifier(aug.stack(np.float32), aug.labels,
-                                            dnn_cfg, num_classes=dataset.num_classes)
-    preds = model_aug.predict(test_ds.stack(np.float32))
-    results["gmm_aug_accuracy"] = float((preds == test_ds.labels).mean())
+    results["gmm_aug_accuracy"] = dnn_accuracy(train_ds.extended(volumes, labels, SYNTHETIC))
     say(f"[seed {seed}] DNN real+GMM accuracy {results['gmm_aug_accuracy']:.4f} "
         f"({time.time() - t0:.0f}s)")
 
@@ -548,31 +518,20 @@ def blob_benchmark(seed, profiles=None, log=None, **overrides):
         (oracle.predict(test_features) == test_ds.labels).mean())
     say(f"[seed {seed}] oracle SVM accuracy {results['oracle_accuracy']:.4f}")
 
-    def consistency(sample_fn):
-        total, hits = 0, 0
+    # share of 50 samples per class that the oracle labels as their class
+    for kind, key, seed_offset in (("cvae", "cvae_consistency", 300),
+                                   ("icwgan", "gan_consistency", 400)):
+        t0 = time.time()
+        generator = GENERATORS[kind]
+        model = generator.fit(dataset, train_idx, profiles, seed, mask)
+        hits = 0
         for c in range(dataset.num_classes):
-            samples = sample_fn(c)
+            samples = generator.sample(model, c, 50, seed + seed_offset + c)
             feats = np.asarray([apply_mask(v, mask) for v in samples])
-            preds = oracle.predict(feats)
-            hits += int((preds == c).sum())
-            total += len(samples)
-        return hits / total
-
-    t0 = time.time()
-    cvae_cfg = cvae_mod.CVAEConfig(seed=seed, **profiles["cvae"])
-    cmodel, _ = cvae_mod.train_cvae(train_ds, cvae_cfg)
-    results["cvae_consistency"] = consistency(
-        lambda c: cvae_mod.sample_cvae(cmodel, c, 50, seed + 300 + c))
-    say(f"[seed {seed}] CVAE consistency {results['cvae_consistency']:.4f} "
-        f"({time.time() - t0:.0f}s)")
-
-    t0 = time.time()
-    gan_cfg = gan_mod.GANConfig(seed=seed, **profiles["icwgan"])
-    gen, _, _ = gan_mod.train_icwgan(train_ds, gan_cfg)
-    results["gan_consistency"] = consistency(
-        lambda c: gan_mod.sample_gan(gen, c, 50, seed + 400 + c))
-    say(f"[seed {seed}] ICW-GAN consistency {results['gan_consistency']:.4f} "
-        f"({time.time() - t0:.0f}s)")
+            hits += int((oracle.predict(feats) == c).sum())
+        results[key] = hits / (50 * dataset.num_classes)
+        say(f"[seed {seed}] {GENERATOR_LABELS[kind]} consistency {results[key]:.4f} "
+            f"({time.time() - t0:.0f}s)")
     return results
 
 

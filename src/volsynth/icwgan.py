@@ -18,7 +18,6 @@ is differentiable with respect to the critic parameters.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -57,55 +56,17 @@ class GANConfig:
             raise ValueError("z_dim and batch_size must be positive")
 
 
-def conv_schedule(dims, layers):
-    """Spatial sizes through a stride-2 conv stack; all must stay >= 1."""
-    sizes = [tuple(dims)]
-    for _ in range(layers):
-        nxt = tuple(max(s // 2, 0) for s in sizes[-1])
-        if any(s < 1 for s in nxt):
-            raise ValueError(
-                f"dims {tuple(dims)} collapse below 1 within {layers} conv layers")
-        sizes.append(nxt)
-    return sizes
-
-
-def deconv_schedule(dims, layers):
-    """Spatial sizes for the mirrored transposed stack, seed first."""
-    sizes = [tuple(dims)]
-    for _ in range(layers):
-        sizes.append(tuple(max(1, math.ceil(s / 2)) for s in sizes[-1]))
-    return list(reversed(sizes))
-
-
 class Generator(nn.Module):
     def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="gen"):
-        channels = list(config.gen_channels)
-        layers = len(channels)
-        self.sizes = deconv_schedule(dims, layers)
-        self.dims = tuple(dims)
         self.num_classes = num_classes
         self.z_dim = config.z_dim
-        seed_spatial = self.sizes[0]
-        seed_elems = channels[0] * int(np.prod(seed_spatial))
-        self.seed_channels = channels[0]
-        self.seed_spatial = seed_spatial
-        self.input_dense = nn.Dense(config.z_dim + num_classes, seed_elems, rng,
-                                    f"{name}.input", dtype=dtype)
-        self.seed_bn = nn.BatchNorm3d(channels[0], f"{name}.bn0", dtype=dtype)
-        widths = channels + [1]
-        self.deconvs = [
-            nn.ConvTranspose3d(widths[i] + 1, widths[i + 1], rng, f"{name}.deconv{i}",
-                               dtype=dtype)
-            for i in range(layers)
-        ]
-        self.bns = [
-            nn.BatchNorm3d(widths[i + 1], f"{name}.bn{i + 1}", dtype=dtype)
-            for i in range(layers - 1)
-        ]
+        self.tower = nn.DeconvTower(dims, config.z_dim + num_classes, config.gen_channels,
+                                    rng, name, label_channels=1, dtype=dtype)
+        self.sizes = self.tower.sizes
         self.projections = [
             nn.LabelProjection(num_classes, self.sizes[i], rng, f"{name}.proj{i}",
                                dtype=dtype)
-            for i in range(layers)
+            for i in range(len(self.sizes) - 1)
         ]
 
     def project_label(self, y, layer):
@@ -114,67 +75,40 @@ class Generator(nn.Module):
             raise KeyError(
                 f"no label projection for layer {layer}; configured spatial sizes "
                 f"{self.sizes[:-1]}")
-        return self.projections[layer](_as_label_tensor(y, self.num_classes))
+        return self.projections[layer](nn.label_tensor(y, self.num_classes))
 
     def forward(self, z, y, training):
         z = z if isinstance(z, Tensor) else Tensor(z)
-        y = _as_label_tensor(y, self.num_classes)
-        n = z.data.shape[0]
+        y = nn.label_tensor(y, self.num_classes)
         if z.data.shape[1] != self.z_dim:
             raise ad.DimensionError(
                 f"latent dim {z.data.shape[1]} does not match configured {self.z_dim}")
-        h = self.input_dense(ad.concat([z, y], axis=1))
-        h = ad.reshape(h, (n, self.seed_channels) + self.seed_spatial)
-        h = ad.relu(self.seed_bn(h, training))
-        last = len(self.deconvs) - 1
-        for i, deconv in enumerate(self.deconvs):
-            h = ad.concat_channels(h, self.projections[i](y))
-            h = ad.conv3d_transpose(h, deconv.kernel, deconv.bias, stride=deconv.stride,
-                                    pad=deconv.pad, output_dims=self.sizes[i + 1])
-            if i < last:
-                h = ad.relu(self.bns[i](h, training))
-            else:
-                h = ad.sigmoid(h)
-        return h
+        return self.tower.forward(ad.concat([z, y], axis=1), training,
+                                  [proj(y) for proj in self.projections])
 
 
 class Discriminator(nn.Module):
     def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="disc"):
-        channels = list(config.disc_channels)
-        layers = len(channels)
-        self.sizes = conv_schedule(dims, layers)
         self.num_classes = num_classes
-        self.alpha = config.leaky_alpha
-        widths = [1] + channels
-        self.convs = [
-            nn.Conv3d(widths[i] + 1, widths[i + 1], rng, f"{name}.conv{i}", dtype=dtype)
-            for i in range(layers)
-        ]
+        self.tower = nn.ConvTower(dims, 1, config.disc_channels, config.leaky_alpha, rng,
+                                  name, label_channels=1, dtype=dtype)
+        self.sizes = self.tower.sizes
         self.projections = [
             nn.LabelProjection(num_classes, self.sizes[i], rng, f"{name}.proj{i}",
                                dtype=dtype)
-            for i in range(layers)
+            for i in range(len(self.sizes) - 1)
         ]
-        flat = channels[-1] * int(np.prod(self.sizes[-1]))
-        self.head = nn.Dense(flat, 1, rng, f"{name}.head", dtype=dtype)
+        self.head = nn.Dense(self.tower.out_features, 1, rng, f"{name}.head", dtype=dtype)
 
     def forward(self, x, y):
-        score, _, _ = self._forward_parts(x, y)
+        score, _ = self._forward_parts(x, y)
         return score
 
     def _forward_parts(self, x, y):
         x = x if isinstance(x, Tensor) else Tensor(x)
-        y = _as_label_tensor(y, self.num_classes)
-        h = x
-        pres = []
-        for i, conv in enumerate(self.convs):
-            h = ad.concat_channels(h, self.projections[i](y))
-            pre = ad.conv3d(h, conv.kernel, conv.bias, stride=conv.stride, pad=conv.pad)
-            pres.append(pre)
-            h = ad.leaky_relu(pre, self.alpha)
-        flat_shape = h.data.shape
-        score = self.head(ad.flatten(h))
-        return score, pres, flat_shape
+        y = nn.label_tensor(y, self.num_classes)
+        flat, pres = self.tower.forward(x, [proj(y) for proj in self.projections])
+        return self.head(flat), pres
 
     def score_and_input_grad(self, x, y):
         """Critic scores plus the per-sample gradient of the score w.r.t. x.
@@ -185,30 +119,21 @@ class Discriminator(nn.Module):
         differentiate through it.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
-        score, pres, flat_shape = self._forward_parts(x, y)
+        score, pres = self._forward_parts(x, y)
         n = x.data.shape[0]
         ones = Tensor(np.ones((n, 1), dtype=x.data.dtype))
         delta = ad.matmul(ones, ad.transpose2d(self.head.weight))
-        delta = ad.reshape(delta, flat_shape)
-        for i in reversed(range(len(self.convs))):
-            conv = self.convs[i]
+        delta = ad.reshape(delta, pres[-1].data.shape)
+        for i in reversed(range(len(pres))):
+            conv = self.tower.convs[i]
             dt = pres[i].data.dtype.type
-            slope = np.where(pres[i].data > 0, dt(1.0), dt(self.alpha))
+            slope = np.where(pres[i].data > 0, dt(1.0), dt(self.tower.alpha))
             delta = ad.mul(delta, Tensor(slope))
             delta = ad.conv3d_transpose(delta, conv.kernel, None, stride=conv.stride,
                                         pad=conv.pad, output_dims=self.sizes[i])
             # drop the label channel: xhat never feeds the projections
             delta = ad.narrow(delta, 1, 0, conv.kernel.data.shape[1] - 1)
         return score, delta
-
-
-def _as_label_tensor(y, num_classes):
-    if isinstance(y, Tensor):
-        return y
-    y = np.asarray(y)
-    if y.ndim == 1:
-        y = one_hot(y, num_classes)
-    return Tensor(y)
 
 
 def interpolate(x_real, x_fake, eps):
@@ -317,53 +242,30 @@ def train_icwgan(dataset, config, out_dir=None):
 
 def sample_gan(gen, class_index, count, seed):
     """Class-conditional volumes from the frozen generator (inference mode)."""
-    if not 0 <= class_index < gen.num_classes:
-        raise KeyError(
-            f"unknown class {class_index}; generator covers 0..{gen.num_classes - 1}")
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    dtype = gen.input_dense.weight.data.dtype
-    z = Tensor(rng.standard_normal((count, gen.z_dim)).astype(dtype))
-    y = Tensor(one_hot(np.full(count, class_index), gen.num_classes, dtype=dtype))
+    z, y = nn.prior_draws(gen.num_classes, gen.z_dim, gen.tower.input_dense.weight.data.dtype,
+                          class_index, count, seed)
     out = gen.forward(z, y, training=False)
     return [Volume(out.data[i, 0]) for i in range(count)]
 
 
+# the config fields a checkpoint records: those that shape the networks
+CHECKPOINT_FIELDS = ("z_dim", "gen_channels", "disc_channels", "leaky_alpha", "dtype")
+
+
 def save_gan(gen, disc, path, dims, num_classes, config):
-    arrays = {}
-    arrays.update(gen.state_arrays())
-    arrays.update(disc.state_arrays())
-    for i, bn in enumerate([gen.seed_bn] + gen.bns):
-        arrays[f"gen.bnstate{i}.mean"] = bn.state.running_mean
-        arrays[f"gen.bnstate{i}.var"] = bn.state.running_var
-    extra = {
-        "kind": "icwgan",
-        "dims": list(dims),
-        "num_classes": num_classes,
-        "z_dim": config.z_dim,
-        "gen_channels": list(config.gen_channels),
-        "disc_channels": list(config.disc_channels),
-        "leaky_alpha": config.leaky_alpha,
-        "dtype": config.dtype,
-    }
-    nn.save_checkpoint(path, arrays, precision=config.dtype, extra=extra)
+    extra = {"kind": "icwgan", "dims": list(dims), "num_classes": num_classes}
+    extra.update((k, getattr(config, k)) for k in CHECKPOINT_FIELDS)
+    nn.save_checkpoint(path, nn.state_arrays(gen, disc), precision=config.dtype, extra=extra)
 
 
 def load_gan(path):
     arrays, extra = nn.load_checkpoint(path)
     if not extra or extra.get("kind") != "icwgan":
         raise nn.CheckpointError(f"{path} is not an ICW-GAN checkpoint")
-    config = GANConfig(z_dim=extra["z_dim"], gen_channels=tuple(extra["gen_channels"]),
-                       disc_channels=tuple(extra["disc_channels"]),
-                       leaky_alpha=extra["leaky_alpha"], dtype=extra["dtype"])
+    config = nn.model_config(GANConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
     rng = np.random.default_rng(0)
     dtype = np.dtype(config.dtype).type
     gen = Generator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
     disc = Discriminator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
-    gen.load_state(arrays)
-    disc.load_state(arrays)
-    for i, bn in enumerate([gen.seed_bn] + gen.bns):
-        bn.state.running_mean = arrays[f"gen.bnstate{i}.mean"].astype(bn.state.running_mean.dtype)
-        bn.state.running_var = arrays[f"gen.bnstate{i}.var"].astype(bn.state.running_var.dtype)
+    nn.load_state(arrays, gen, disc)
     return gen, disc, config

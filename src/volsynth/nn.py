@@ -1,4 +1,4 @@
-"""Trainable layers, the Adam optimizer, gradient checking, checkpoints.
+"""Trainable layers, conv towers, the Adam optimizer, gradient checking, checkpoints.
 
 Layers own named Parameter tensors and call the ops in :mod:`autodiff`.
 Initialization draws from a zero-mean Gaussian (std 0.02, biases zero),
@@ -8,12 +8,14 @@ the usual choice for adversarial training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .datasets import one_hot
 
 INIT_STD = 0.02
 
@@ -30,34 +32,65 @@ def gaussian_init(shape, rng, std=INIT_STD, dtype=np.float64):
 class Module:
     """Minimal container: children and parameters are discovered by attribute."""
 
-    def parameters(self):
-        params = {}
+    def walk(self):
+        """Parameters and submodules, depth first in attribute order (checkpoint order)."""
         for attr in vars(self).values():
-            if isinstance(attr, Parameter):
-                params[attr.name] = attr
-            elif isinstance(attr, Module):
-                params.update(attr.parameters())
-            elif isinstance(attr, (list, tuple)):
-                for item in attr:
-                    if isinstance(item, Module):
-                        params.update(item.parameters())
-                    elif isinstance(item, Parameter):
-                        params[item.name] = item
-        return params
+            for item in attr if isinstance(attr, (list, tuple)) else (attr,):
+                if isinstance(item, (Parameter, Module)):
+                    yield item
+                if isinstance(item, Module):
+                    yield from item.walk()
+
+    def parameters(self):
+        return {p.name: p for p in self.walk() if isinstance(p, Parameter)}
 
     def load_state(self, arrays):
-        for name, p in self.parameters().items():
-            if name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
-            src = arrays[name]
-            if tuple(src.shape) != tuple(p.data.shape):
-                raise ValueError(
-                    f"checkpoint shape {src.shape} does not match parameter "
-                    f"{name!r} of shape {p.data.shape}")
-            p.data = src.astype(p.data.dtype)
+        load_state(arrays, self)
 
     def state_arrays(self):
-        return {name: p.data.copy() for name, p in self.parameters().items()}
+        return state_arrays(self)
+
+
+def state_arrays(*modules):
+    """Copies of every parameter, then every batchnorm running statistic.
+
+    This is the checkpoint layout: all parameters of ``modules`` in order,
+    followed by ``{state_name}.mean`` and ``{state_name}.var`` per batchnorm.
+    """
+    arrays = {}
+    for module in modules:
+        arrays.update((name, p.data.copy()) for name, p in module.parameters().items())
+    for bn in _batchnorms(modules):
+        arrays[f"{bn.state_name}.mean"] = bn.state.running_mean.copy()
+        arrays[f"{bn.state_name}.var"] = bn.state.running_var.copy()
+    return arrays
+
+
+def load_state(arrays, *modules):
+    """Inverse of :func:`state_arrays`; names and shapes must match exactly."""
+    for module in modules:
+        for name, p in module.parameters().items():
+            p.data = _restored(arrays, name, p.data)
+    for bn in _batchnorms(modules):
+        bn.state.running_mean = _restored(arrays, f"{bn.state_name}.mean",
+                                          bn.state.running_mean)
+        bn.state.running_var = _restored(arrays, f"{bn.state_name}.var",
+                                         bn.state.running_var)
+
+
+def _batchnorms(modules):
+    return [m for module in modules for m in module.walk() if isinstance(m, BatchNorm3d)]
+
+
+def _restored(arrays, name, current):
+    if name not in arrays:
+        raise KeyError(f"checkpoint is missing parameter {name!r}")
+    src = arrays[name]
+    if tuple(src.shape) != tuple(current.shape):
+        raise ValueError(
+            f"checkpoint shape {src.shape} does not match parameter "
+            f"{name!r} of shape {current.shape}")
+    return src.astype(current.dtype)
 
 
 class Dense(Module):
@@ -92,14 +125,18 @@ class ConvTranspose3d(Module):
         self.stride = stride
         self.pad = pad
 
-    def __call__(self, x):
-        return ad.conv3d_transpose(x, self.kernel, self.bias, stride=self.stride, pad=self.pad)
+    def __call__(self, x, output_dims=None):
+        return ad.conv3d_transpose(x, self.kernel, self.bias, stride=self.stride, pad=self.pad,
+                                   output_dims=output_dims)
 
 
 class BatchNorm3d(Module):
-    def __init__(self, channels, name, momentum=0.9, eps=1e-5, dtype=np.float64):
+    """Trained scale and shift; running statistics saved under ``state_name``."""
+
+    def __init__(self, channels, name, state_name, momentum=0.9, eps=1e-5, dtype=np.float64):
         self.gamma = Parameter(np.ones(channels, dtype=dtype), f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels, dtype=dtype), f"{name}.beta")
+        self.state_name = state_name
         self.state = ad.BatchNormState(channels, momentum=momentum, eps=eps, dtype=dtype)
 
     def __call__(self, x, training):
@@ -120,6 +157,123 @@ class LabelProjection(Module):
         n = y.data.shape[0] if isinstance(y, Tensor) else y.shape[0]
         vol = ad.tanh(ad.dense(y if isinstance(y, Tensor) else Tensor(y), self.weight, self.bias))
         return ad.reshape(vol, (n, 1) + self.spatial)
+
+
+def label_tensor(y, num_classes):
+    """Labels as a Tensor: class indices become one-hot rows, matrices pass through."""
+    if isinstance(y, Tensor):
+        return y
+    y = np.asarray(y)
+    if y.ndim == 1:
+        y = one_hot(y, num_classes)
+    return Tensor(y)
+
+
+def prior_draws(num_classes, z_dim, dtype, class_index, count, seed):
+    """Standard-normal latents and one-hot labels for ``count`` samples of one class."""
+    if not 0 <= class_index < num_classes:
+        raise KeyError(f"unknown class {class_index}; model covers 0..{num_classes - 1}")
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
+    z = np.random.default_rng(seed).standard_normal((count, z_dim)).astype(dtype)
+    return Tensor(z), Tensor(one_hot(np.full(count, class_index), num_classes, dtype=dtype))
+
+
+# ---------------------------------------------------------------------------
+# the convolutional towers shared by the critic, encoder, classifier,
+# generator and decoder
+# ---------------------------------------------------------------------------
+
+def conv_schedule(dims, layers):
+    """Spatial sizes through a stride-2 conv stack; all must stay >= 1."""
+    sizes = [tuple(dims)]
+    for _ in range(layers):
+        nxt = tuple(max(s // 2, 0) for s in sizes[-1])
+        if any(s < 1 for s in nxt):
+            raise ValueError(
+                f"dims {tuple(dims)} collapse below 1 within {layers} conv layers")
+        sizes.append(nxt)
+    return sizes
+
+
+def deconv_schedule(dims, layers):
+    """Spatial sizes for the mirrored transposed stack, seed first."""
+    sizes = [tuple(dims)]
+    for _ in range(layers):
+        sizes.append(tuple(max(1, math.ceil(s / 2)) for s in sizes[-1]))
+    return list(reversed(sizes))
+
+
+class ConvTower(Module):
+    """Stride-2 convolutions, each followed by a leaky ReLU.
+
+    ``label_channels`` widens every conv's input for a label volume that the
+    caller concatenates before it. ``forward`` returns the flattened last
+    activation and every layer's pre-activation; the critic's gradient-penalty
+    graph reads the latter.
+    """
+
+    def __init__(self, dims, in_channels, channels, alpha, rng, name,
+                 label_channels=0, dtype=np.float64):
+        self.sizes = conv_schedule(dims, len(channels))
+        self.alpha = alpha
+        widths = [in_channels] + list(channels)
+        self.convs = [
+            Conv3d(widths[i] + label_channels, widths[i + 1], rng, f"{name}.conv{i}",
+                   dtype=dtype)
+            for i in range(len(channels))
+        ]
+        self.out_features = channels[-1] * int(np.prod(self.sizes[-1]))
+
+    def forward(self, x, labels=None):
+        """``labels`` holds one label volume per layer, at that layer's input size."""
+        h, pres = x, []
+        for i, conv in enumerate(self.convs):
+            if labels is not None:
+                h = ad.concat_channels(h, labels[i])
+            pres.append(conv(h))
+            h = ad.leaky_relu(pres[-1], self.alpha)
+        return ad.flatten(h), pres
+
+
+class DeconvTower(Module):
+    """Dense seed volume, then stride-2 transposed convolutions up to ``dims``.
+
+    Batchnorm + ReLU follow the seed and every hidden layer; the last layer
+    has one channel and a sigmoid. ``label_channels`` widens every transposed
+    conv's input for a label volume that the caller concatenates before it.
+    """
+
+    def __init__(self, dims, in_features, channels, rng, name, label_channels=0,
+                 dtype=np.float64):
+        layers = len(channels)
+        self.sizes = deconv_schedule(dims, layers)
+        self.seed_shape = (channels[0],) + self.sizes[0]
+        self.input_dense = Dense(in_features, int(np.prod(self.seed_shape)), rng,
+                                 f"{name}.input", dtype=dtype)
+        self.seed_bn = BatchNorm3d(channels[0], f"{name}.bn0", f"{name}.bnstate0",
+                                   dtype=dtype)
+        widths = list(channels) + [1]
+        self.deconvs = [
+            ConvTranspose3d(widths[i] + label_channels, widths[i + 1], rng,
+                            f"{name}.deconv{i}", dtype=dtype)
+            for i in range(layers)
+        ]
+        self.bns = [
+            BatchNorm3d(widths[i], f"{name}.bn{i}", f"{name}.bnstate{i}", dtype=dtype)
+            for i in range(1, layers)
+        ]
+
+    def forward(self, x, training, labels=None):
+        """``labels`` holds one label volume per layer, at that layer's input size."""
+        h = ad.reshape(self.input_dense(x), (x.data.shape[0],) + self.seed_shape)
+        h = ad.relu(self.seed_bn(h, training))
+        for i, deconv in enumerate(self.deconvs):
+            if labels is not None:
+                h = ad.concat_channels(h, labels[i])
+            h = deconv(h, output_dims=self.sizes[i + 1])
+            h = ad.relu(self.bns[i](h, training)) if i < len(self.bns) else ad.sigmoid(h)
+        return h
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +429,16 @@ class CheckpointError(ValueError):
     pass
 
 
+def model_config(cls, block, **defaults):
+    """A config dataclass from a JSON object: a config block or a checkpoint header.
+
+    Keys of ``block`` override ``defaults``; JSON lists become tuples for the
+    fields whose default is a tuple.
+    """
+    tuples = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
+    return cls(**{**defaults, **{k: tuple(v) if k in tuples else v for k, v in block.items()}})
+
+
 def save_checkpoint(path, arrays, precision="float64", extra=None):
     """Write named arrays: JSON header line, then payloads in header order."""
     dtype = np.dtype(precision).newbyteorder("<")
@@ -311,4 +475,6 @@ def load_checkpoint(path):
                 raise CheckpointError(
                     f"truncated checkpoint payload for parameter {spec['name']!r}")
             arrays[spec["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise CheckpointError(f"unexpected bytes after the last array in {path}")
     return arrays, header.get("extra")

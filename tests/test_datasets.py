@@ -164,6 +164,10 @@ class TestVolumeDataset:
         with pytest.raises(ValueError):
             VolumeDataset([Volume(np.zeros((2, 2, 2)))], [3], ["a", "b"])
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="outside the class table"):
+            VolumeDataset([Volume(np.zeros((2, 2, 2)))], [-1], ["a", "b"])
+
     def test_subset_and_extended_provenance(self):
         ds = toy_dataset([2, 2])
         sub = ds.subset([0, 2])

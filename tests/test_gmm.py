@@ -168,3 +168,16 @@ class TestCheckpoint:
         b = back.sample_volumes(0, 3, seed=5)
         for va, vb in zip(a, b):
             assert np.array_equal(va.data, vb.data)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        from volsynth import nn
+        from volsynth.datasets import make_blob_dataset
+        from volsynth.volumes import compute_mask
+        ds = make_blob_dataset(2, 4, (6, 6, 6), seed=1)
+        model = gm.fit_class_gmms(ds, compute_mask(ds.volumes), EMConfig(seed=0))
+        path = tmp_path / "gmm.ckpt"
+        gm.save_gmm(model, path)
+        with open(path, "ab") as fh:
+            fh.write(b"22 bytes of stray data")
+        with pytest.raises(nn.CheckpointError, match="after the last array"):
+            gm.load_gmm(path)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -194,6 +195,37 @@ class TestRunRegime:
         assert len(calls) == 1           # one fit reused across all 3 folds
         assert len(report.entries) == 3
 
+    def test_leak_guards_raise_under_optimize(self):
+        """The guards are raised errors, so ``python -O`` keeps them."""
+        script = textwrap.dedent("""
+            import sys
+            from volsynth import harness
+            from volsynth.datasets import SYNTHETIC, make_blob_dataset
+            assert sys.flags.optimize == 1
+            config = harness.ExperimentConfig.from_dict({
+                "dataset": {"kind": "blob", "num_classes": 2, "per_class": 4,
+                            "dims": [8, 8, 8], "seed": 0},
+                "classifier": "svm", "repeats": 1})
+            dataset = harness.load_config_dataset(config.dataset)
+            harness._cells_for_split = lambda *args: [([0, 1, 4, 5], [2, 6], [2, 3, 7])]
+            try:
+                harness.run_regime(config, dataset=dataset)
+            except harness.LeakError as exc:
+                print(exc)
+            leaky = dataset.extended([dataset.volumes[0]], [0], SYNTHETIC)
+            try:
+                harness._train_and_eval_classifier(config, leaky, leaky, [], [8], None, 0)
+            except harness.LeakError as exc:
+                print(exc)
+        """)
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["val/test overlap in fold 0",
+                                              "synthetic data leaked into test"]
+
     def test_run_report_roundtrips_through_json(self, tmp_path):
         report = harness.run_regime(small_config())
         path = tmp_path / "run.json"
@@ -239,10 +271,12 @@ class TestCLI:
         config = {
             "dataset": {"kind": "blob", "num_classes": 3, "per_class": 9,
                         "dims": [8, 8, 8], "seed": 4},
-            "regime": ["real", "real_synth"],
+            "regime": ["real", "real_noise", "real_synth"],
             "generator": ["gmm"],
             "classifier": ["svm"],
             "synth_per_class": 3,
+            "noise_per_class": 2,
+            "noise_variance": 0.01,
             "split": {"kind": "kfold", "k": 3, "min_class_size": 3},
             "repeats": 1,
             "seed": 5,
@@ -265,13 +299,19 @@ class TestCLI:
         header = open(out1 / "report.csv").readline().strip()
         assert header == "input,gen_model,classifier,accuracy,macro_f1,precision,recall"
         rows = open(out1 / "report.csv").read().strip().split("\n")
-        assert len(rows) == 3      # header + Real + Real+Synth
+        assert len(rows) == 4      # header + Real + Real+noise + Real+Synth
         assert rows[1].startswith("Real,-,SVM,")
-        assert rows[2].startswith("Real+Synth.,GMM,SVM,")
+        assert rows[2].startswith("Real+noise,-,SVM,")
+        assert rows[3].startswith("Real+Synth.,GMM,SVM,")
 
         variance = open(out1 / "variance.csv").read().strip().split("\n")
         assert variance[0] == header
+        # run_real_noise_* sorts before run_real_none_*: report must not
+        # take the file-name order
+        tables = {n: (out1 / n).read_bytes() for n in ("report.csv", "variance.csv")}
         assert self.run_cli("report", "--runs", str(out1)) == 0
+        for name, before in tables.items():
+            assert (out1 / name).read_bytes() == before, name
 
     def test_entry_point_runs(self):
         result = subprocess.run([sys.executable, "-m", "volsynth.cli", "--help"],
@@ -299,3 +339,8 @@ class TestSampleCLI:
                          "-n", "5", "--seed", "2", "--out", str(samples)]) == 0
         after = {p.name: p.read_bytes() for p in samples.glob("*")}
         assert before == after
+
+        # the samples form a dataset that --manifest commands read
+        assert (samples / "classes.txt").read_text() == "class_0\nclass_1\n"
+        assert cli_main(["train-gmm", "--manifest", str(samples / "manifest.csv"),
+                         "--out", str(tmp_path / "again.ckpt")]) == 0
