@@ -392,19 +392,6 @@ def _sigmoid(x):
     return np.clip(out, tiny, np.nextafter(x.dtype.type(1.0), x.dtype.type(0.0)))
 
 
-def activation(a, kind, alpha=0.2):
-    """Dispatch by name: relu | leaky_relu | tanh | sigmoid."""
-    table = {
-        "relu": relu,
-        "leaky_relu": lambda t: leaky_relu(t, alpha),
-        "tanh": tanh,
-        "sigmoid": sigmoid,
-    }
-    if kind not in table:
-        raise GraphError(f"unknown activation {kind!r}; expected one of {sorted(table)}")
-    return table[kind](a)
-
-
 # ---------------------------------------------------------------------------
 # dense
 # ---------------------------------------------------------------------------
@@ -442,11 +429,21 @@ def conv3d_transpose_output_dims(spatial, kernel, stride, pad):
     return tuple((s - 1) * stride - 2 * pad + k for s, k in zip(spatial, kernel))
 
 
-def _pad_spatial(x, pad):
-    if pad == 0:
-        return x
-    width = ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad))
-    return np.pad(x, width)
+def _embed_spatial(g, offsets, lengths):
+    """Place g into zeros of the given spatial ``lengths``, shifted by ``offsets``.
+
+    Cell i of g lands at i + offset per axis; cells that fall outside are
+    dropped. Positive offsets zero-pad, negative ones crop.
+    """
+    out = np.zeros(g.shape[:2] + tuple(lengths), dtype=g.dtype)
+    src, dst = [slice(None)] * 2, [slice(None)] * 2
+    for size, off, length in zip(g.shape[2:], offsets, lengths):
+        lo = max(off, 0)
+        hi = max(min(size + off, length), lo)
+        dst.append(slice(lo, hi))
+        src.append(slice(lo - off, hi - off))
+    out[tuple(dst)] = g[tuple(src)]
+    return out
 
 
 def _im2col(x_padded, ksize, stride):
@@ -464,146 +461,95 @@ def _im2col(x_padded, ksize, stride):
     return cols.reshape(n * int(np.prod(pdims)), -1), pdims
 
 
-def _kernel_matrix(kernel):
-    """[F, k1*k2*k3*C] layout matching _im2col columns."""
-    f = kernel.shape[0]
-    return np.ascontiguousarray(kernel.transpose(0, 2, 3, 4, 1)).reshape(f, -1)
+def _correlate(x_padded, kernel, stride):
+    """out[n,f,o] = sum_c sum_w x_padded[n,c,o*stride+w] * kernel[f,c,w].
 
-
-def _correlate(x_padded, kernel, stride, return_cols=False):
-    """out[n,f,o] = sum_c sum_w x_padded[n,c,o*stride+w] * kernel[f,c,w]."""
-    cols, pdims = _im2col(x_padded, kernel.shape[2:], stride)
-    out = cols @ _kernel_matrix(kernel).T
-    n, f = x_padded.shape[0], kernel.shape[0]
-    out = np.ascontiguousarray(
-        np.moveaxis(out.reshape((n,) + pdims + (f,)), -1, 1))
-    if return_cols:
-        return out, cols
-    return out
-
-
-def _kernel_grad_from_cols(cols, gout, ksize, channels):
-    """dK[f,c,w] from cached forward columns."""
-    f = gout.shape[1]
-    gmat = np.moveaxis(gout, 1, -1).reshape(-1, f)
-    dk = gmat.T @ cols                                  # [F, k1*k2*k3*C]
-    return dk.reshape((f,) + tuple(ksize) + (channels,)).transpose(0, 4, 1, 2, 3)
-
-
-def _parity_plan(parity, stride, pad, target):
-    """Output slice, correlation offset, and sub-kernel taps for one parity.
-
-    Output cells t with (t + pad) % stride == r touch only kernel taps
-    w ≡ r mod stride: out[t] = sum_a K[a*stride + r] * x[m - a] where
-    m = (t + pad - r) / stride.
+    Returns the output and the im2col columns, which give the kernel gradient.
     """
-    starts = tuple((r - pad) % stride for r in parity)
-    counts = tuple(
-        (t - st + stride - 1) // stride if t > st else 0
-        for st, t in zip(starts, target))
-    m0 = tuple((st + pad - r) // stride for st, r in zip(starts, parity))
-    return starts, counts, m0
+    cols, pdims = _im2col(x_padded, kernel.shape[2:], stride)
+    n, f = x_padded.shape[0], kernel.shape[0]
+    # kernel as [F, k1*k2*k3*C], matching the column layout
+    out = cols @ np.ascontiguousarray(kernel.transpose(0, 2, 3, 4, 1)).reshape(f, -1).T
+    return np.ascontiguousarray(np.moveaxis(out.reshape((n,) + pdims + (f,)), -1, 1)), cols
 
 
-def _scatter_parity(out, corr, starts, counts, m0, stride):
-    copy = tuple(min(cnt, corr.shape[2 + ax] - m) if m >= 0 else 0
-                 for ax, (cnt, m) in enumerate(zip(counts, m0)))
-    if any(c <= 0 for c in copy):
-        return
-    src = (slice(None), slice(None)) + tuple(
-        slice(m, m + c) for m, c in zip(m0, copy))
-    dst = (slice(None), slice(None)) + tuple(
-        slice(st, st + c * stride, stride) for st, c in zip(starts, copy))
-    out[dst] = corr[src]
+def _kernel_grad_from_cols(cols, gout, shape):
+    """Gradient of a kernel of ``shape`` [F,C,*k] from its correlation's columns.
+
+    ``gout`` [N,F,*P] is the gradient of the correlation output.
+    """
+    f, c = shape[:2]
+    dk = np.moveaxis(gout, 1, -1).reshape(-1, f).T @ cols     # [F, k1*k2*k3*C]
+    return dk.reshape((f,) + tuple(shape[2:]) + (c,)).transpose(0, 4, 1, 2, 3)
 
 
 def _transpose_core(x, kernel_ab, stride, pad, target):
     """Adjoint of strided correlation, decomposed by output parity.
 
-    x: [N,A,*s]; kernel_ab: [A,B,*k] -> [N,B,*target]. Each parity class of
-    output cells is one dense stride-1 correlation with a sub-kernel; cells
-    the forward conv never produced stay zero. When the kernel splits evenly
-    (k % stride == 0) all parities share one im2col and one stacked GEMM.
+    x: [N,A,*s]; kernel_ab: [A,B,*k] -> [N,B,*target]. Output cells t with
+    (t + pad) % stride == r touch only kernel taps w = a*stride + r:
+    out[t] = sum_a K[a*stride + r] * x[m - a], m = (t + pad - r) / stride.
+    Zero-padding the kernel to L = ceil(k / stride) taps per parity makes
+    every parity one stride-1 correlation with the same L, so all stride^3
+    of them share one im2col and one stacked GEMM (sub-pixel convolution).
+    Cells the forward conv never produced stay zero.
     """
     N, A = x.shape[:2]
     B = kernel_ab.shape[1]
-    ks = kernel_ab.shape[2:]
+    lens = tuple(-(-k // stride) for k in kernel_ab.shape[2:])
+    taps = _embed_spatial(kernel_ab, (0, 0, 0), [l * stride for l in lens])
+    taps = taps.reshape(A, B, lens[0], stride, lens[1], stride, lens[2], stride)
+    # rows (r1, r2, r3, B) of flipped sub-kernels, columns in _im2col order
+    flipped = taps[:, :, ::-1, :, ::-1, :, ::-1]
+    big = flipped.transpose(3, 5, 7, 1, 2, 4, 6, 0).reshape(stride ** 3 * B, -1)
+    width = tuple(l - 1 for l in lens)
+    xp = _embed_spatial(x, width, [s + 2 * w for s, w in zip(x.shape[2:], width)])
+    cols, pdims = _im2col(xp, lens, 1)
+    corr = (cols @ big.T).reshape((N,) + pdims + (stride ** 3, B))
+    corr = np.moveaxis(corr, (4, 5), (0, 2))                 # [P, N, B, *Q]
     out = np.zeros((N, B) + tuple(target), dtype=x.dtype)
-    if stride == 1:
-        parities = [(0, 0, 0)]
-    else:
-        rng3 = range(stride)
-        parities = [(r1, r2, r3) for r1 in rng3 for r2 in rng3 for r3 in rng3]
-
-    even = all(k % stride == 0 for k in ks)
-    if even and stride > 1:
-        lens = tuple(k // stride for k in ks)
-        width = ((0, 0), (0, 0)) + tuple((l - 1, l - 1) for l in lens)
-        cols, pdims = _im2col(np.pad(x, width), lens, 1)
-        mats = []
-        for parity in parities:
-            sub = kernel_ab[:, :, parity[0]::stride, parity[1]::stride, parity[2]::stride]
-            flipped = sub[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            mats.append(_kernel_matrix(flipped))
-        big = np.concatenate(mats, axis=0)             # [P*B, l1*l2*l3*A]
-        corr_all = cols @ big.T                        # [N*Q, P*B]
-        corr_all = corr_all.reshape((N,) + pdims + (len(parities), B))
-        corr_all = np.moveaxis(corr_all, (4, 5), (0, 2))   # [P, N, B, *Q]
-        for pi, parity in enumerate(parities):
-            starts, counts, m0 = _parity_plan(parity, stride, pad, target)
-            if any(c <= 0 for c in counts):
-                continue
-            _scatter_parity(out, corr_all[pi], starts, counts, m0, stride)
-        return out
-
-    for parity in parities:
-        sub = kernel_ab[:, :, parity[0]::stride, parity[1]::stride, parity[2]::stride]
-        lens = sub.shape[2:]
-        if any(l == 0 for l in lens):
-            continue
-        starts, counts, m0 = _parity_plan(parity, stride, pad, target)
-        if any(c <= 0 for c in counts):
-            continue
-        flipped = np.ascontiguousarray(
-            sub[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-        width = ((0, 0), (0, 0)) + tuple((l - 1, l - 1) for l in lens)
-        corr = _correlate(np.pad(x, width), flipped, stride=1)
-        _scatter_parity(out, corr, starts, counts, m0, stride)
+    for p, parity in enumerate(np.ndindex(stride, stride, stride)):
+        # cells t = start + i*stride read corr[m0 + i] while both exist
+        src, dst = [slice(None)] * 2, [slice(None)] * 2
+        for r, t, q in zip(parity, target, pdims):
+            start = (r - pad) % stride
+            m0 = (start + pad - r) // stride
+            count = max(min(-(-(t - start) // stride), q - m0), 0)
+            src.append(slice(m0, m0 + count))
+            dst.append(slice(start, start + count * stride, stride))
+        out[tuple(dst)] = corr[p][tuple(src)]
     return out
 
 
-def conv3d(x, kernel, bias=None, stride=1, pad=0):
-    """Strided 3D cross-correlation.
-
-    x: [N,C,D,H,W]; kernel: [F,C,kd,kh,kw]; bias: [F]. Output spatial dims
-    follow floor((s + 2*pad - k)/stride) + 1.
-    """
+def _check_conv(op, x, kernel, channel_axis, stride, pad):
+    """Shared argument check; ``channel_axis`` is the kernel axis matching x's channels."""
     if x.data.ndim != 5 or kernel.data.ndim != 5:
         raise DimensionError(
-            f"conv3d expects 5-d input and kernel, got {x.data.shape} and {kernel.data.shape}")
-    if x.data.shape[1] != kernel.data.shape[1]:
+            f"{op} expects 5-d input and kernel, got {x.data.shape} and {kernel.data.shape}")
+    if x.data.shape[1] != kernel.data.shape[channel_axis]:
         raise DimensionError(
-            f"conv3d channel mismatch: input {x.data.shape} vs kernel {kernel.data.shape}")
+            f"{op} channel mismatch: input {x.data.shape} vs kernel {kernel.data.shape}")
     if stride < 1 or pad < 0:
-        raise GraphError(f"conv3d requires stride >= 1 and pad >= 0, got {stride}, {pad}")
-    ks = kernel.data.shape[2:]
-    for s, k in zip(x.data.shape[2:], ks):
-        if k > s + 2 * pad:
-            raise DimensionError(
-                f"conv3d kernel {kernel.data.shape} exceeds padded input {x.data.shape} (pad={pad})")
-    xp = _pad_spatial(x.data, pad)
-    out_data, cols = _correlate(xp, kernel.data, stride, return_cols=True)
+        raise GraphError(f"{op} requires stride >= 1 and pad >= 0, got {stride}, {pad}")
+
+
+def _conv_node(x, kernel, bias, out_data, adjoint):
+    """Add the bias and wire the x, kernel and bias gradients.
+
+    ``adjoint(g, need_x, need_k)`` returns the x and kernel gradients; one
+    that is not needed may be None.
+    """
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1, 1)
 
-    in_spatial = x.data.shape[2:]
-    in_channels = x.data.shape[1]
-
     def backward(g):
-        if _needs_grad(x):
-            x._accumulate(_transpose_core(g, kernel.data, stride, pad, in_spatial))
-        if _needs_grad(kernel):
-            kernel._accumulate(_kernel_grad_from_cols(cols, g, ks, in_channels))
+        need_x, need_k = _needs_grad(x), _needs_grad(kernel)
+        if need_x or need_k:
+            dx, dk = adjoint(g, need_x, need_k)
+            if need_x:
+                x._accumulate(dx)
+            if need_k:
+                kernel._accumulate(dk)
         if bias is not None and _needs_grad(bias):
             bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
 
@@ -611,19 +557,26 @@ def conv3d(x, kernel, bias=None, stride=1, pad=0):
     return _make(out_data, inputs, backward)
 
 
-def _embed_spatial(g, pad, lengths):
-    """Place g into zeros of the given spatial ``lengths`` at offset ``pad``.
+def conv3d(x, kernel, bias=None, stride=1, pad=0):
+    """Strided 3D cross-correlation.
 
-    Entries of g beyond each length are dropped: cells a transposed conv
-    never produced contribute nothing to its adjoint.
+    x: [N,C,D,H,W]; kernel: [F,C,kd,kh,kw]; bias: [F]. Output spatial dims
+    follow floor((s + 2*pad - k)/stride) + 1. Its adjoint, conv3d_transpose,
+    gives the input gradient.
     """
-    N, C = g.shape[:2]
-    out = np.zeros((N, C) + tuple(lengths), dtype=g.dtype)
-    copy = tuple(min(gs, ln - pad) for gs, ln in zip(g.shape[2:], lengths))
-    dst = (slice(None), slice(None)) + tuple(slice(pad, pad + c) for c in copy)
-    src = (slice(None), slice(None)) + tuple(slice(0, c) for c in copy)
-    out[dst] = g[src]
-    return out
+    _check_conv("conv3d", x, kernel, 1, stride, pad)
+    spatial = x.data.shape[2:]
+    if min(conv3d_output_dims(spatial, kernel.data.shape[2:], stride, pad)) < 1:
+        raise DimensionError(
+            f"conv3d kernel {kernel.data.shape} exceeds padded input {x.data.shape} (pad={pad})")
+    xp = _embed_spatial(x.data, (pad,) * 3, [s + 2 * pad for s in spatial])
+    out_data, cols = _correlate(xp, kernel.data, stride)
+
+    def adjoint(g, need_x, need_k):
+        return (_transpose_core(g, kernel.data, stride, pad, spatial) if need_x else None,
+                _kernel_grad_from_cols(cols, g, kernel.data.shape) if need_k else None)
+
+    return _conv_node(x, kernel, bias, out_data, adjoint)
 
 
 def conv3d_transpose(x, kernel, bias=None, stride=1, pad=0, output_dims=None):
@@ -632,16 +585,10 @@ def conv3d_transpose(x, kernel, bias=None, stride=1, pad=0, output_dims=None):
     x: [N,C,D,H,W]; kernel: [C,F,kd,kh,kw]; bias: [F]. Output spatial dims
     default to (s - 1)*stride - 2*pad + k; ``output_dims`` overrides them
     (cells past the kernel's reach stay zero), which lets a stride-2 stack
-    land exactly on dims that are not powers of two.
+    land exactly on dims that are not powers of two. Its adjoint, conv3d,
+    gives the input gradient.
     """
-    if x.data.ndim != 5 or kernel.data.ndim != 5:
-        raise DimensionError(
-            f"conv3d_transpose expects 5-d input and kernel, got {x.data.shape} and {kernel.data.shape}")
-    if x.data.shape[1] != kernel.data.shape[0]:
-        raise DimensionError(
-            f"conv3d_transpose channel mismatch: input {x.data.shape} vs kernel {kernel.data.shape}")
-    if stride < 1 or pad < 0:
-        raise GraphError(f"conv3d_transpose requires stride >= 1 and pad >= 0, got {stride}, {pad}")
+    _check_conv("conv3d_transpose", x, kernel, 0, stride, pad)
     ks = kernel.data.shape[2:]
     target = conv3d_transpose_output_dims(x.data.shape[2:], ks, stride, pad)
     if output_dims is not None:
@@ -650,31 +597,14 @@ def conv3d_transpose(x, kernel, bias=None, stride=1, pad=0, output_dims=None):
         raise DimensionError(
             f"conv3d_transpose output dims {target} not positive for input {x.data.shape}")
     out_data = _transpose_core(x.data, kernel.data, stride, pad, target)
-    if bias is not None:
-        out_data += bias.data.reshape(1, -1, 1, 1, 1)
-
     # adjoint reach: input cell i touches output cells [i*stride - pad, ...+k)
     reach = tuple((d - 1) * stride + k for d, k in zip(x.data.shape[2:], ks))
-    in_channels = x.data.shape[1]
 
-    def backward(g):
-        need_x, need_k = _needs_grad(x), _needs_grad(kernel)
-        if need_x or need_k:
-            gp = _embed_spatial(g, pad, reach)
-            cols, pdims = _im2col(gp, ks, stride)
-            if need_x:
-                dx = cols @ _kernel_matrix(kernel.data).T
-                n = g.shape[0]
-                x._accumulate(np.ascontiguousarray(
-                    np.moveaxis(dx.reshape((n,) + pdims + (in_channels,)), -1, 1)))
-            if need_k:
-                kernel._accumulate(
-                    _kernel_grad_from_cols(cols, x.data, ks, g.shape[1]))
-        if bias is not None and _needs_grad(bias):
-            bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
+    def adjoint(g, need_x, need_k):
+        dx, cols = _correlate(_embed_spatial(g, (pad,) * 3, reach), kernel.data, stride)
+        return dx, _kernel_grad_from_cols(cols, x.data, kernel.data.shape) if need_k else None
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(out_data, inputs, backward)
+    return _conv_node(x, kernel, bias, out_data, adjoint)
 
 
 # ---------------------------------------------------------------------------

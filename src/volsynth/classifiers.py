@@ -103,8 +103,9 @@ class DNNClassifier(nn.Module):
 
     def predict(self, volumes_array):
         dtype = self.head.weight.data.dtype
-        logits = self.forward(Tensor(volumes_array.astype(dtype)))
-        return np.argmax(logits.data, axis=1)
+        logits = nn.in_chunks(lambda x: self.forward(Tensor(x.astype(dtype))).data,
+                              volumes_array)
+        return np.argmax(logits, axis=1)
 
 
 @dataclass

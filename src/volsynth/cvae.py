@@ -21,7 +21,6 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .datasets import one_hot
-from .volumes import Volume
 
 
 @dataclass
@@ -203,10 +202,9 @@ def evaluate_elbo(model, dataset, indices, config):
 
 def sample_cvae(model, class_index, count, seed):
     """Decode prior draws conditioned on one class (inference mode)."""
-    z, y = nn.prior_draws(model.num_classes, model.config.latent_dim,
-                          model.decoder.input_dense.weight.data.dtype, class_index, count, seed)
-    out = model.decode(z, y, training=False)
-    return [Volume(out.data[i, 0]) for i in range(count)]
+    return nn.sample_prior(lambda z, y: model.decode(z, y, training=False), model.num_classes,
+                           model.config.latent_dim, model.decoder.input_dense.weight.data.dtype,
+                           class_index, count, seed)
 
 
 # the config fields a checkpoint records: those that shape the model

@@ -14,25 +14,6 @@ SYNTHETIC = "synthetic"
 NOISY = "noisy"
 
 
-@dataclass(frozen=True)
-class LabelVector:
-    """One-hot class encoding."""
-
-    class_index: int
-    num_classes: int
-
-    def __post_init__(self):
-        if not 0 <= self.class_index < self.num_classes:
-            raise ValueError(
-                f"class_index {self.class_index} out of range for {self.num_classes} classes")
-
-    @property
-    def bits(self):
-        v = np.zeros(self.num_classes)
-        v[self.class_index] = 1.0
-        return v
-
-
 def one_hot(class_indices, num_classes, dtype=np.float64):
     """[n, num_classes] one-hot matrix from integer class indices."""
     idx = np.asarray(class_indices, dtype=int)

@@ -27,7 +27,6 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .datasets import one_hot
-from .volumes import Volume
 
 
 @dataclass
@@ -242,10 +241,9 @@ def train_icwgan(dataset, config, out_dir=None):
 
 def sample_gan(gen, class_index, count, seed):
     """Class-conditional volumes from the frozen generator (inference mode)."""
-    z, y = nn.prior_draws(gen.num_classes, gen.z_dim, gen.tower.input_dense.weight.data.dtype,
-                          class_index, count, seed)
-    out = gen.forward(z, y, training=False)
-    return [Volume(out.data[i, 0]) for i in range(count)]
+    return nn.sample_prior(lambda z, y: gen.forward(z, y, training=False), gen.num_classes,
+                           gen.z_dim, gen.tower.input_dense.weight.data.dtype,
+                           class_index, count, seed)
 
 
 # the config fields a checkpoint records: those that shape the networks

@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .datasets import one_hot
+from .volumes import Volume
 
 INIT_STD = 0.02
 
@@ -169,14 +170,33 @@ def label_tensor(y, num_classes):
     return Tensor(y)
 
 
-def prior_draws(num_classes, z_dim, dtype, class_index, count, seed):
-    """Standard-normal latents and one-hot labels for ``count`` samples of one class."""
+# inference runs on slices of this many rows: a forward pass keeps every
+# activation and im2col buffer of its batch alive until it returns
+INFERENCE_CHUNK = 50
+
+
+def in_chunks(forward, *arrays):
+    """``forward`` applied to INFERENCE_CHUNK-row slices of ``arrays``, concatenated."""
+    n = arrays[0].shape[0]
+    return np.concatenate([forward(*(a[i:i + INFERENCE_CHUNK] for a in arrays))
+                           for i in range(0, n, INFERENCE_CHUNK)])
+
+
+def sample_prior(decode, num_classes, z_dim, dtype, class_index, count, seed):
+    """``count`` volumes of one class decoded from standard-normal latents.
+
+    ``decode(z, y)`` maps latent and one-hot label Tensors to [n,1,d,h,w]. All
+    latents come from one ``default_rng(seed)`` draw before decoding, so the
+    volumes do not depend on INFERENCE_CHUNK.
+    """
     if not 0 <= class_index < num_classes:
         raise KeyError(f"unknown class {class_index}; model covers 0..{num_classes - 1}")
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     z = np.random.default_rng(seed).standard_normal((count, z_dim)).astype(dtype)
-    return Tensor(z), Tensor(one_hot(np.full(count, class_index), num_classes, dtype=dtype))
+    y = one_hot(np.full(count, class_index), num_classes, dtype=dtype)
+    out = in_chunks(lambda zc, yc: decode(Tensor(zc), Tensor(yc)).data, z, y)
+    return [Volume(v[0]) for v in out]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volsynth import datasets as dsm
-from volsynth.datasets import (LabelVector, VolumeDataset, make_blob_dataset, one_hot,
+from volsynth.datasets import (VolumeDataset, make_blob_dataset, one_hot,
                                split_by_class_size, stratified_kfold)
 from volsynth.volumes import Volume
 
@@ -20,14 +20,11 @@ def toy_dataset(counts, dims=(3, 3, 3), seed=0):
 
 
 class TestLabels:
-    def test_one_hot_is_exactly_one_bit(self):
-        lv = LabelVector(2, 5)
-        bits = lv.bits
-        assert bits.sum() == 1.0 and bits[2] == 1.0
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            LabelVector(5, 5)
+            one_hot([5], 5)
+        with pytest.raises(ValueError):
+            one_hot([-1], 5)
 
     def test_one_hot_matrix(self):
         m = one_hot([0, 2, 1], 3)

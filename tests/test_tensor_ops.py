@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsynth import autodiff as ad
 from volsynth.autodiff import Tensor
@@ -113,6 +115,47 @@ class TestConv3dTranspose:
             ad.conv3d_transpose(x, k, None)
 
 
+@st.composite
+def adjoint_cases(draw):
+    """Shapes where conv3d maps x's dims onto y's and conv3d_transpose maps back.
+
+    Each axis of x is (q - 1)*stride - 2*pad + k + extra; an extra below the
+    stride leaves conv3d's output at q, and only then is x's size passed as
+    the ``output_dims`` override.
+    """
+    stride = draw(st.integers(1, 3))
+    ks = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    q = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    extra = (0,) * 3
+    if draw(st.booleans()):
+        extra = draw(st.tuples(*[st.integers(0, stride - 1)] * 3))
+    reach = [(a - 1) * stride + k + e for a, k, e in zip(q, ks, extra)]
+    pad = draw(st.integers(0, min(2, (min(reach) - 1) // 2)))
+    dims = tuple(r - 2 * pad for r in reach)
+    n, c, f = (draw(st.integers(1, 3)) for _ in range(3))
+    return n, c, f, stride, pad, ks, q, dims, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(adjoint_cases())
+def test_conv3d_and_transpose_are_adjoint(case):
+    """<conv3d(x, k), y> = <x, conv3d_transpose(y, k)>, with equal gradients in x, k and y."""
+    n, c, f, stride, pad, ks, q, dims, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(n, c) + dims), requires_grad=True)
+    k = Tensor(rng.normal(size=(f, c) + ks), requires_grad=True)
+    y = Tensor(rng.normal(size=(n, f) + q), requires_grad=True)
+    natural = ad.conv3d_transpose_output_dims(q, ks, stride, pad)
+    override = None if natural == dims else dims
+    lhs = ad.tsum(ad.conv3d(x, k, None, stride, pad) * y)
+    rhs = ad.tsum(x * ad.conv3d_transpose(y, k, None, stride, pad, output_dims=override))
+    assert lhs.item() == pytest.approx(rhs.item(), rel=1e-9, abs=1e-9)
+    leaves = {"x": x, "k": k, "y": y}
+    g_lhs, g_rhs = ad.backward(lhs, leaves), ad.backward(rhs, leaves)
+    for name in leaves:
+        np.testing.assert_allclose(g_lhs[name], g_rhs[name], rtol=1e-9, atol=1e-9)
+
+
 class TestBatchNorm:
     def test_normalizes_to_zero_mean_unit_variance(self, rng):
         # variance deviates by eps/var, so keep the input variance >> 10*eps
@@ -174,12 +217,6 @@ class TestActivations:
         x = Tensor(rng.normal(scale=20.0, size=1000))
         out = ad.sigmoid(x).data
         assert out.min() > 0.0 and out.max() < 1.0
-
-    def test_dispatch_and_unknown_kind(self):
-        x = Tensor(np.array([1.0]))
-        assert ad.activation(x, "relu").data[0] == 1.0
-        with pytest.raises(ad.GraphError):
-            ad.activation(x, "softplus")
 
     def test_leaky_alpha_bounds(self):
         with pytest.raises(ad.GraphError):
