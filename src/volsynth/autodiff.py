@@ -123,9 +123,6 @@ class Tensor:
     def __pow__(self, p):
         return power(self, p)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
@@ -321,21 +318,6 @@ def concat_channels(a, b):
     if sa[0] != sb[0] or sa[2:] != sb[2:]:
         raise DimensionError(f"concat_channels spatial/batch mismatch: {sa} vs {sb}")
     return concat([a, b], axis=1)
-
-
-def matmul(a, b):
-    def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), backward)
-
-
-def transpose2d(a):
-    def backward(g):
-        a._accumulate(g.T)
-
-    return _make(np.ascontiguousarray(a.data.T), (a,), backward)
 
 
 # ---------------------------------------------------------------------------

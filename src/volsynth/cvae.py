@@ -222,9 +222,10 @@ def load_cvae(path):
     arrays, extra = nn.load_checkpoint(path)
     if not extra or extra.get("kind") != "cvae":
         raise nn.CheckpointError(f"{path} is not a CVAE checkpoint")
-    config = nn.model_config(CVAEConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
-    dtype = np.dtype(config.dtype).type
-    model = CVAE(extra["dims"], extra["num_classes"], config,
-                 np.random.default_rng(0), dtype=dtype)
-    model.load_state(arrays)
+    with nn.checkpoint_errors(path):
+        config = nn.model_config(CVAEConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
+        dtype = np.dtype(config.dtype).type
+        model = CVAE(extra["dims"], extra["num_classes"], config,
+                     np.random.default_rng(0), dtype=dtype)
+        model.load_state(arrays)
     return model, config

@@ -7,11 +7,12 @@ probabilities underflow at masked-voxel dimensionality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .volumes import scatter_mask
+from . import nn
+from .volumes import Mask, apply_mask, scatter_mask
 
 
 @dataclass
@@ -125,9 +126,7 @@ class ClassGMM:
 
     def fit(self, features_by_class):
         for class_index, feats in sorted(features_by_class.items()):
-            cfg = EMConfig(self.config.num_components, self.config.max_iters,
-                           self.config.tol, self.config.variance_floor,
-                           seed=self.config.seed + class_index)
+            cfg = replace(self.config, seed=self.config.seed + class_index)
             self.per_class[class_index] = em_fit(feats, cfg)
         return self
 
@@ -168,8 +167,6 @@ class ClassGMM:
 
 def fit_class_gmms(dataset, mask, config, indices=None):
     """Train one mixture per class present among ``indices`` (default: all)."""
-    from .volumes import apply_mask
-
     if indices is None:
         indices = range(len(dataset))
     features_by_class = {}
@@ -182,8 +179,6 @@ def fit_class_gmms(dataset, mask, config, indices=None):
 
 
 def save_gmm(model, path):
-    from . import nn
-
     arrays = {"mask": model.mask.bits.astype(np.float64)}
     for c in model.trained_classes:
         p = model.per_class[c]
@@ -204,20 +199,18 @@ def save_gmm(model, path):
 
 
 def load_gmm(path):
-    from . import nn
-    from .volumes import Mask
-
     arrays, extra = nn.load_checkpoint(path)
     if not extra or extra.get("kind") != "gmm":
         raise nn.CheckpointError(f"{path} is not a GMM checkpoint")
-    mask = Mask(arrays["mask"].reshape(extra["mask_dims"]) > 0.5)
-    config = EMConfig(num_components=extra["K"], variance_floor=extra["variance_floor"])
-    model = ClassGMM(mask, config)
-    for c in extra["classes"]:
-        model.per_class[int(c)] = MixtureParams(
-            weights=arrays[f"class_{c}.weights"],
-            means=arrays[f"class_{c}.means"],
-            variances=arrays[f"class_{c}.variances"],
-            log_likelihoods=[],
-        )
+    with nn.checkpoint_errors(path):
+        mask = Mask(arrays["mask"].reshape(extra["mask_dims"]) > 0.5)
+        config = EMConfig(num_components=extra["K"], variance_floor=extra["variance_floor"])
+        model = ClassGMM(mask, config)
+        for c in extra["classes"]:
+            model.per_class[int(c)] = MixtureParams(
+                weights=arrays[f"class_{c}.weights"],
+                means=arrays[f"class_{c}.means"],
+                variances=arrays[f"class_{c}.variances"],
+                log_likelihoods=[],
+            )
     return model

@@ -18,7 +18,6 @@ is differentiable with respect to the critic parameters.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ class GANConfig:
     beta1: float = 0.5
     beta2: float = 0.9
     leaky_alpha: float = 0.2
-    checkpoint_every: int = 0      # generator steps between checkpoints; 0 disables
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -60,21 +58,7 @@ class Generator(nn.Module):
         self.num_classes = num_classes
         self.z_dim = config.z_dim
         self.tower = nn.DeconvTower(dims, config.z_dim + num_classes, config.gen_channels,
-                                    rng, name, label_channels=1, dtype=dtype)
-        self.sizes = self.tower.sizes
-        self.projections = [
-            nn.LabelProjection(num_classes, self.sizes[i], rng, f"{name}.proj{i}",
-                               dtype=dtype)
-            for i in range(len(self.sizes) - 1)
-        ]
-
-    def project_label(self, y, layer):
-        """Label volume for the given layer's spatial size; values in (-1,1)."""
-        if not 0 <= layer < len(self.projections):
-            raise KeyError(
-                f"no label projection for layer {layer}; configured spatial sizes "
-                f"{self.sizes[:-1]}")
-        return self.projections[layer](nn.label_tensor(y, self.num_classes))
+                                    rng, name, num_classes=num_classes, dtype=dtype)
 
     def forward(self, z, y, training):
         z = z if isinstance(z, Tensor) else Tensor(z)
@@ -82,21 +66,14 @@ class Generator(nn.Module):
         if z.data.shape[1] != self.z_dim:
             raise ad.DimensionError(
                 f"latent dim {z.data.shape[1]} does not match configured {self.z_dim}")
-        return self.tower.forward(ad.concat([z, y], axis=1), training,
-                                  [proj(y) for proj in self.projections])
+        return self.tower.forward(ad.concat([z, y], axis=1), training, y)
 
 
 class Discriminator(nn.Module):
     def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="disc"):
         self.num_classes = num_classes
         self.tower = nn.ConvTower(dims, 1, config.disc_channels, config.leaky_alpha, rng,
-                                  name, label_channels=1, dtype=dtype)
-        self.sizes = self.tower.sizes
-        self.projections = [
-            nn.LabelProjection(num_classes, self.sizes[i], rng, f"{name}.proj{i}",
-                               dtype=dtype)
-            for i in range(len(self.sizes) - 1)
-        ]
+                                  name, num_classes=num_classes, dtype=dtype)
         self.head = nn.Dense(self.tower.out_features, 1, rng, f"{name}.head", dtype=dtype)
 
     def forward(self, x, y):
@@ -105,8 +82,7 @@ class Discriminator(nn.Module):
 
     def _forward_parts(self, x, y):
         x = x if isinstance(x, Tensor) else Tensor(x)
-        y = nn.label_tensor(y, self.num_classes)
-        flat, pres = self.tower.forward(x, [proj(y) for proj in self.projections])
+        flat, pres = self.tower.forward(x, nn.label_tensor(y, self.num_classes))
         return self.head(flat), pres
 
     def score_and_input_grad(self, x, y):
@@ -121,7 +97,7 @@ class Discriminator(nn.Module):
         score, pres = self._forward_parts(x, y)
         n = x.data.shape[0]
         ones = Tensor(np.ones((n, 1), dtype=x.data.dtype))
-        delta = ad.matmul(ones, ad.transpose2d(self.head.weight))
+        delta = ad.dense(ones, ad.reshape(self.head.weight, (1, -1)))
         delta = ad.reshape(delta, pres[-1].data.shape)
         for i in reversed(range(len(pres))):
             conv = self.tower.convs[i]
@@ -129,7 +105,7 @@ class Discriminator(nn.Module):
             slope = np.where(pres[i].data > 0, dt(1.0), dt(self.tower.alpha))
             delta = ad.mul(delta, Tensor(slope))
             delta = ad.conv3d_transpose(delta, conv.kernel, None, stride=conv.stride,
-                                        pad=conv.pad, output_dims=self.sizes[i])
+                                        pad=conv.pad, output_dims=self.tower.sizes[i])
             # drop the label channel: xhat never feeds the projections
             delta = ad.narrow(delta, 1, 0, conv.kernel.data.shape[1] - 1)
         return score, delta
@@ -183,7 +159,7 @@ class GANTrainLog:
                 fh.write(f"{step},{role},{loss!r},{penalty!r}\n")
 
 
-def train_icwgan(dataset, config, out_dir=None):
+def train_icwgan(dataset, config):
     """Alternate critic_iters critic steps with one generator step."""
     n = len(dataset)
     if n == 0:
@@ -206,7 +182,6 @@ def train_icwgan(dataset, config, out_dir=None):
     labels = one_hot(dataset.labels, num_classes, dtype=dtype)
     log = GANTrainLog()
     step = 0
-    gen_steps = 0
     critic_since_gen = 0
     last_y = None
     for _ in range(config.epochs):
@@ -230,12 +205,8 @@ def train_icwgan(dataset, config, out_dir=None):
                 grads = ad.backward(gloss, gen_params)
                 opt_g.step(grads)
                 step += 1
-                gen_steps += 1
                 log.append(step, "gen", gloss.item(), 0.0)
                 critic_since_gen = 0
-                if out_dir and config.checkpoint_every and gen_steps % config.checkpoint_every == 0:
-                    save_gan(gen, disc, os.path.join(out_dir, f"gan_step{gen_steps:06d}.ckpt"),
-                             dims, num_classes, config)
     return gen, disc, log
 
 
@@ -260,10 +231,11 @@ def load_gan(path):
     arrays, extra = nn.load_checkpoint(path)
     if not extra or extra.get("kind") != "icwgan":
         raise nn.CheckpointError(f"{path} is not an ICW-GAN checkpoint")
-    config = nn.model_config(GANConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
-    rng = np.random.default_rng(0)
-    dtype = np.dtype(config.dtype).type
-    gen = Generator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
-    disc = Discriminator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
-    nn.load_state(arrays, gen, disc)
+    with nn.checkpoint_errors(path):
+        config = nn.model_config(GANConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
+        rng = np.random.default_rng(0)
+        dtype = np.dtype(config.dtype).type
+        gen = Generator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
+        disc = Discriminator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
+        nn.load_state(arrays, gen, disc)
     return gen, disc, config

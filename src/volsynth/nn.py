@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -155,9 +156,19 @@ class LabelProjection(Module):
         self.bias = Parameter(np.zeros(d * h * w, dtype=dtype), f"{name}.bias")
 
     def __call__(self, y):
-        n = y.data.shape[0] if isinstance(y, Tensor) else y.shape[0]
-        vol = ad.tanh(ad.dense(y if isinstance(y, Tensor) else Tensor(y), self.weight, self.bias))
-        return ad.reshape(vol, (n, 1) + self.spatial)
+        vol = ad.tanh(ad.dense(y, self.weight, self.bias))
+        return ad.reshape(vol, (y.data.shape[0], 1) + self.spatial)
+
+
+def label_projections(num_classes, sizes, rng, name, dtype):
+    """One LabelProjection ``{name}.proj{i}`` per spatial size; none without classes.
+
+    Towers build them after their own layers: RNG draws and checkpoint order rely on it.
+    """
+    if not num_classes:
+        return []
+    return [LabelProjection(num_classes, size, rng, f"{name}.proj{i}", dtype=dtype)
+            for i, size in enumerate(sizes)]
 
 
 def label_tensor(y, num_classes):
@@ -227,30 +238,31 @@ def deconv_schedule(dims, layers):
 class ConvTower(Module):
     """Stride-2 convolutions, each followed by a leaky ReLU.
 
-    ``label_channels`` widens every conv's input for a label volume that the
-    caller concatenates before it. ``forward`` returns the flattened last
-    activation and every layer's pre-activation; the critic's gradient-penalty
-    graph reads the latter.
+    With ``num_classes`` > 0 every conv's input gains one channel: the label
+    volume ``projections[i](y)`` at that layer's input size. ``forward``
+    returns the flattened last activation and every layer's pre-activation;
+    the critic's gradient-penalty graph reads the latter.
     """
 
     def __init__(self, dims, in_channels, channels, alpha, rng, name,
-                 label_channels=0, dtype=np.float64):
+                 num_classes=0, dtype=np.float64):
         self.sizes = conv_schedule(dims, len(channels))
         self.alpha = alpha
         widths = [in_channels] + list(channels)
+        label = 1 if num_classes else 0
         self.convs = [
-            Conv3d(widths[i] + label_channels, widths[i + 1], rng, f"{name}.conv{i}",
+            Conv3d(widths[i] + label, widths[i + 1], rng, f"{name}.conv{i}",
                    dtype=dtype)
             for i in range(len(channels))
         ]
         self.out_features = channels[-1] * int(np.prod(self.sizes[-1]))
+        self.projections = label_projections(num_classes, self.sizes[:-1], rng, name, dtype)
 
-    def forward(self, x, labels=None):
-        """``labels`` holds one label volume per layer, at that layer's input size."""
+    def forward(self, x, y=None):
         h, pres = x, []
         for i, conv in enumerate(self.convs):
-            if labels is not None:
-                h = ad.concat_channels(h, labels[i])
+            if self.projections:
+                h = ad.concat_channels(h, self.projections[i](y))
             pres.append(conv(h))
             h = ad.leaky_relu(pres[-1], self.alpha)
         return ad.flatten(h), pres
@@ -260,11 +272,11 @@ class DeconvTower(Module):
     """Dense seed volume, then stride-2 transposed convolutions up to ``dims``.
 
     Batchnorm + ReLU follow the seed and every hidden layer; the last layer
-    has one channel and a sigmoid. ``label_channels`` widens every transposed
-    conv's input for a label volume that the caller concatenates before it.
+    has one channel and a sigmoid. With ``num_classes`` > 0 every transposed
+    conv's input gains one channel: the label volume ``projections[i](y)``.
     """
 
-    def __init__(self, dims, in_features, channels, rng, name, label_channels=0,
+    def __init__(self, dims, in_features, channels, rng, name, num_classes=0,
                  dtype=np.float64):
         layers = len(channels)
         self.sizes = deconv_schedule(dims, layers)
@@ -274,8 +286,9 @@ class DeconvTower(Module):
         self.seed_bn = BatchNorm3d(channels[0], f"{name}.bn0", f"{name}.bnstate0",
                                    dtype=dtype)
         widths = list(channels) + [1]
+        label = 1 if num_classes else 0
         self.deconvs = [
-            ConvTranspose3d(widths[i] + label_channels, widths[i + 1], rng,
+            ConvTranspose3d(widths[i] + label, widths[i + 1], rng,
                             f"{name}.deconv{i}", dtype=dtype)
             for i in range(layers)
         ]
@@ -283,14 +296,14 @@ class DeconvTower(Module):
             BatchNorm3d(widths[i], f"{name}.bn{i}", f"{name}.bnstate{i}", dtype=dtype)
             for i in range(1, layers)
         ]
+        self.projections = label_projections(num_classes, self.sizes[:-1], rng, name, dtype)
 
-    def forward(self, x, training, labels=None):
-        """``labels`` holds one label volume per layer, at that layer's input size."""
+    def forward(self, x, training, y=None):
         h = ad.reshape(self.input_dense(x), (x.data.shape[0],) + self.seed_shape)
         h = ad.relu(self.seed_bn(h, training))
         for i, deconv in enumerate(self.deconvs):
-            if labels is not None:
-                h = ad.concat_channels(h, labels[i])
+            if self.projections:
+                h = ad.concat_channels(h, self.projections[i](y))
             h = deconv(h, output_dims=self.sizes[i + 1])
             h = ad.relu(self.bns[i](h, training)) if i < len(self.bns) else ad.sigmoid(h)
         return h
@@ -449,12 +462,24 @@ class CheckpointError(ValueError):
     pass
 
 
+@contextmanager
+def checkpoint_errors(path):
+    """Model metadata or arrays that do not fit together raise CheckpointError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+
+
 def model_config(cls, block, **defaults):
     """A config dataclass from a JSON object: a config block or a checkpoint header.
 
     Keys of ``block`` override ``defaults``; JSON lists become tuples for the
-    fields whose default is a tuple.
+    fields whose default is a tuple. A key that names no field is a ValueError.
     """
+    unknown = sorted(set(block) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
     tuples = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
     return cls(**{**defaults, **{k: tuple(v) if k in tuples else v for k, v in block.items()}})
 
@@ -476,25 +501,31 @@ def save_checkpoint(path, arrays, precision="float64", extra=None):
 
 
 def load_checkpoint(path):
-    """Read back arrays and the extra metadata block (or None)."""
+    """Read back arrays and the extra metadata block (or None).
+
+    A header without a known format, a numpy precision and a list of named
+    non-negative shapes raises CheckpointError, as does a payload of any other
+    length.
+    """
     with open(path, "rb") as fh:
-        line = fh.readline()
         try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
+            header = json.loads(fh.readline().decode("utf-8"))
+            dtype = np.dtype(header["precision"]).newbyteorder("<")
+            specs = [(str(spec["name"]), tuple(int(n) for n in spec["shape"]))
+                     for spec in header["params"]]
+            if any(n < 0 for _, shape in specs for n in shape):
+                raise ValueError("negative array dimension")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"unreadable checkpoint header in {path}: {exc}") from exc
         if header.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"unsupported checkpoint format {header.get('format')!r}")
-        dtype = np.dtype(header["precision"]).newbyteorder("<")
         arrays = {}
-        for spec in header["params"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in specs:
+            count = math.prod(shape)
             raw = fh.read(count * dtype.itemsize)
             if len(raw) != count * dtype.itemsize:
-                raise CheckpointError(
-                    f"truncated checkpoint payload for parameter {spec['name']!r}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+                raise CheckpointError(f"truncated checkpoint payload for parameter {name!r}")
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"unexpected bytes after the last array in {path}")
     return arrays, header.get("extra")

@@ -34,8 +34,7 @@ class LengthMismatchError(VolumeFormatError):
 class Volume:
     """A 3D grid of voxel intensities, row-major; float32 or float64.
 
-    Files store float32; in memory either precision is kept as given so the
-    resampling oracles hold at 64-bit accuracy.
+    Files store float32; in memory either precision is kept as given.
     """
 
     __slots__ = ("data",)
@@ -97,6 +96,8 @@ def read_volume(path):
         raise LengthMismatchError(
             f"{path}: header claims {d}x{h}x{w}={d * h * w} voxels, payload has {count}")
     data = np.frombuffer(payload, dtype="<f4").reshape(d, h, w)
+    if not np.all(np.isfinite(data)):
+        raise VolumeFormatError(f"{path}: payload holds non-finite voxels")
     return Volume(data)
 
 
@@ -108,47 +109,6 @@ def normalize_minmax(volume):
     if hi == lo:
         return Volume(np.zeros_like(v))
     return Volume((v - lo) / (hi - lo))
-
-
-class UnsupportedUpsampleError(ValueError):
-    pass
-
-
-def _box_weights(n_in, n_out):
-    """Row-stochastic [n_out, n_in] matrix of fractional box overlaps."""
-    ratio = n_in / n_out
-    weights = np.zeros((n_out, n_in))
-    for i in range(n_out):
-        lo = i * ratio
-        hi = (i + 1) * ratio
-        j0 = int(np.floor(lo))
-        j1 = int(np.ceil(hi))
-        for j in range(j0, min(j1, n_in)):
-            overlap = min(hi, j + 1) - max(lo, j)
-            if overlap > 0:
-                weights[i, j] = overlap / ratio
-    return weights
-
-
-def downsample(volume, target, method="box"):
-    """Resample to smaller dims by box averaging (or nearest-neighbor)."""
-    src = volume.dims
-    if any(t > s for t, s in zip(target, src)) or any(t < 1 for t in target):
-        raise UnsupportedUpsampleError(
-            f"target dims {tuple(target)} must be positive and <= source {src}")
-    if tuple(target) == tuple(src):
-        return volume.copy()
-    if method == "nearest":
-        idx = [np.minimum((np.arange(t) * s) // t, s - 1) for t, s in zip(target, src)]
-        return Volume(volume.data[np.ix_(idx[0], idx[1], idx[2])])
-    if method != "box":
-        raise ValueError(f"unknown downsampling method {method!r}")
-    out = volume.data.astype(np.float64)
-    for axis, (s, t) in enumerate(zip(src, target)):
-        if s != t:
-            w = _box_weights(s, t)
-            out = np.moveaxis(np.tensordot(w, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
-    return Volume(out)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,20 @@ class TestCheckpoint:
         for va, vb in zip(a, b):
             assert np.array_equal(va.data, vb.data)
 
+    def test_state_names_and_order_of_two_layer_cvae(self):
+        """Checkpoint names are read by name; old files must keep loading."""
+        config = cvae.CVAEConfig(latent_dim=3, enc_channels=(3, 4), dec_channels=(4, 3))
+        model = cvae.CVAE((8, 8, 8), 2, config, np.random.default_rng(0))
+        assert list(model.state_arrays()) == [
+            "enc.proj.weight", "enc.proj.bias", "enc.conv0.kernel", "enc.conv0.bias",
+            "enc.conv1.kernel", "enc.conv1.bias", "enc.mu.weight", "enc.mu.bias",
+            "enc.logvar.weight", "enc.logvar.bias",
+            "dec.input.weight", "dec.input.bias", "dec.bn0.gamma", "dec.bn0.beta",
+            "dec.deconv0.kernel", "dec.deconv0.bias", "dec.deconv1.kernel",
+            "dec.deconv1.bias", "dec.bn1.gamma", "dec.bn1.beta",
+            "dec.bnstate0.mean", "dec.bnstate0.var", "dec.bnstate1.mean", "dec.bnstate1.var",
+        ]
+
 
 class TestFullGraphGradient:
     def test_encode_reparameterize_decode_loss_gradcheck(self, rng):

@@ -8,9 +8,11 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from volsynth import classifiers as clf
-from volsynth import harness
+from volsynth import harness, nn
 from volsynth.cli import main as cli_main
 from volsynth.datasets import REAL, SYNTHETIC, make_blob_dataset
 from volsynth.harness import ExperimentConfig, aggregate
@@ -267,6 +269,17 @@ class TestCLI:
                             "--out", str(tmp_path / "x.ckpt"))
         assert code == 1
 
+    def test_unknown_model_config_field_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "2", "--per-class", "3",
+                            "--dims", "4,4,4", "--out", str(data)) == 0
+        cfg = tmp_path / "gan.json"
+        cfg.write_text(json.dumps({"z_dim": 3, "bogus": 1}))
+        code = self.run_cli("train-gan", "--manifest", str(data / "manifest.csv"),
+                            "--config", str(cfg), "--out", str(tmp_path / "gan.ckpt"))
+        assert code == 1
+        assert "unknown GANConfig fields: ['bogus']" in capsys.readouterr().err
+
     def test_augment_eval_and_report_deterministic(self, tmp_path):
         config = {
             "dataset": {"kind": "blob", "num_classes": 3, "per_class": 9,
@@ -318,6 +331,58 @@ class TestCLI:
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert "augment-eval" in result.stdout
+
+
+TINY_BLOCKS = {
+    "gmm": None,
+    "cvae": {"latent_dim": 3, "enc_channels": [3, 4], "dec_channels": [4, 3],
+             "batch_size": 4, "epochs": 1},
+    "icwgan": {"z_dim": 3, "gen_channels": [4, 3], "disc_channels": [3, 4],
+               "batch_size": 4, "critic_iters": 2, "epochs": 1},
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("kind", sorted(TINY_BLOCKS))
+    def test_header_bit_flip_or_truncation_loads_or_raises_checkpoint_error(
+            self, kind, tmp_path):
+        data = tmp_path / "data"
+        assert cli_main(["synth-data", "--classes", "2", "--per-class", "4",
+                         "--dims", "8,8,8", "--out", str(data)]) == 0
+        path = tmp_path / "model.ckpt"
+        argv = ["--manifest", str(data / "manifest.csv"), "--out", str(path)]
+        if TINY_BLOCKS[kind] is None:
+            assert cli_main(["train-gmm"] + argv) == 0
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(TINY_BLOCKS[kind]))
+            command = "train-gan" if kind == "icwgan" else "train-cvae"
+            assert cli_main([command, "--config", str(cfg)] + argv) == 0
+        good = path.read_bytes()
+        load = harness.GENERATORS[kind].load
+
+        def flipped(bit):
+            blob = bytearray(good)
+            blob[bit // 8] ^= 1 << (bit % 8)
+            return bytes(blob)
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.one_of(st.integers(0, (good.index(b"\n") + 1) * 8 - 1).map(flipped),
+                         st.integers(0, len(good) - 1).map(lambda n: good[:n])))
+        def check(blob):
+            path.write_bytes(blob)
+            try:
+                load(path)
+            except nn.CheckpointError:
+                pass
+
+        # "float32" -> "floap32" in every dtype name: the precision and, for
+        # the neural models, the extra block's dtype
+        start = good.find(b'"float')
+        while start != -1:
+            check = example(flipped((start + 5) * 8 + 2))(check)
+            start = good.find(b'"float', start + 1)
+        check()
 
 
 class TestSampleCLI:
