@@ -31,36 +31,20 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None, _prev=()):
+    def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        if _prev == () and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise GraphError(f"non-finite values in tensor {name or '<input>'}")
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self._prev = tuple(_prev)
+        self._prev = ()
         self._backward = None
 
     # -- plumbing ---------------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self):
         return float(self.data)
@@ -94,43 +78,11 @@ class Tensor:
 
     # -- operator sugar ----------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other, like=self)))
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _toposort(root):
@@ -247,12 +199,12 @@ def tsqrt(a):
     return _make(out_data, (a,), backward)
 
 
-def tsum(a, axis=None, keepdims=False):
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a, axis=None):
+    out_data = a.data.sum(axis=axis)
 
     def backward(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             for ax in sorted(ax % a.data.ndim for ax in axes):
                 g = np.expand_dims(g, ax)
@@ -261,13 +213,8 @@ def tsum(a, axis=None, keepdims=False):
     return _make(np.asarray(out_data), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False):
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def tmean(a):
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 def reshape(a, shape):

@@ -38,11 +38,19 @@ class LinearSVMModel:
         return np.argmax(self.scores(features), axis=1)
 
 
-def train_svm(features, labels, reg_c=1.0, epochs=300, seed=0, mask=None):
+@dataclass
+class SVMConfig:
+    """The ``svm`` block: the settings of :func:`train_svm` and their defaults."""
+
+    reg_c: float = 1.0
+    epochs: int = 300
+
+
+def train_svm(features, labels, reg_c=SVMConfig.reg_c, epochs=SVMConfig.epochs, mask=None):
     """One-vs-rest hinge loss with L2 regularization, full-batch subgradient.
 
     The step decays as 1/(lambda * t); full-batch updates from a zero start
-    make the run deterministic regardless of the seed.
+    make the run deterministic, so it draws no random numbers.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=int)
@@ -90,11 +98,11 @@ class DNNConfig:
 class DNNClassifier(nn.Module):
     """Critic-shaped tower without label concatenation; dense head to logits."""
 
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="clf"):
+    def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
         self.num_classes = num_classes
-        self.tower = nn.ConvTower(dims, 1, config.channels, config.leaky_alpha, rng, name,
+        self.tower = nn.ConvTower(dims, 1, config.channels, config.leaky_alpha, rng, "clf",
                                   dtype=dtype)
-        self.head = nn.Dense(self.tower.out_features, num_classes, rng, f"{name}.head",
+        self.head = nn.Dense(self.tower.out_features, num_classes, rng, "clf.head",
                              dtype=dtype)
 
     def forward(self, x):
@@ -146,8 +154,6 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
         total, batches = 0.0, 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            if idx.size == 0:
-                continue
             logits = model.forward(Tensor(x_all[idx]))
             loss = ad.softmax_cross_entropy(logits, onehots[idx])
             grads = ad.backward(loss, params)

@@ -133,7 +133,8 @@ def cmd_train_clf(args):
     else:
         mask = compute_mask(dataset.volumes, strategy=args.mask_strategy)
         features = np.asarray([apply_mask(v, mask) for v in dataset.volumes])
-        model = clf.train_svm(features, dataset.labels, seed=args.seed, mask=mask)
+        config = nn.model_config(clf.SVMConfig, _load_json(args.config) if args.config else {})
+        model = clf.train_svm(features, dataset.labels, config.reg_c, config.epochs, mask=mask)
         arrays = {"weights": model.weights, "biases": model.biases,
                   "mask": mask.bits.astype(np.float64)}
         extra = {"kind": "svm_classifier", "mask_dims": list(mask.dims),
@@ -163,29 +164,34 @@ def _expand_cells(raw):
     return cells
 
 
+def _cell_config(base, regime, gen, classifier):
+    cell_cfg = dict(base)
+    cell_cfg["regime"] = regime
+    cell_cfg["classifier"] = classifier
+    if regime == "real_synth":
+        cell_cfg["generator"] = gen
+    else:
+        cell_cfg["synth_per_class"] = 0
+    if regime != "real_noise":
+        cell_cfg["noise_variance"] = 0
+        cell_cfg["noise_per_class"] = 0
+    return harness.ExperimentConfig.from_dict(cell_cfg)
+
+
 def cmd_augment_eval(args):
     raw = _load_json(args.config)
-    cells = _expand_cells(raw)
     base = {k: v for k, v in raw.items() if k not in ("regime", "generator", "classifier")}
     if args.single_model:
         base["single_model"] = True
     out_dir = args.out or base.pop("output_dir", None) or "runs"
     base.pop("output_dir", None)
+    # every cell's config and models block is checked before the first one trains
+    configs = [_cell_config(base, *cell) for cell in _expand_cells(raw)]
     os.makedirs(out_dir, exist_ok=True)
     dataset = harness.load_config_dataset(base["dataset"])
     runs = []
-    for regime, gen, classifier in cells:
-        cell_cfg = dict(base)
-        cell_cfg["regime"] = regime
-        cell_cfg["classifier"] = classifier
-        if regime == "real_synth":
-            cell_cfg["generator"] = gen
-        else:
-            cell_cfg["synth_per_class"] = 0
-        if regime != "real_noise":
-            cell_cfg["noise_variance"] = 0
-            cell_cfg["noise_per_class"] = 0
-        config = harness.ExperimentConfig.from_dict(cell_cfg)
+    for config in configs:
+        regime, gen, classifier = config.regime, config.generator, config.classifier
         print(f"running {regime} / {gen or '-'} / {classifier}", file=sys.stderr)
         report = harness.run_regime(config, dataset=dataset, log=harness.log_stderr)
         runs.append(report.to_dict())
@@ -273,7 +279,7 @@ def build_parser():
     p = sub.add_parser("train-clf", help="train a classifier on a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=["dnn", "svm"], default="dnn")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help="JSON block of DNN or SVM fields")
     p.add_argument("--mask-strategy", default="nonconstant",
                    choices=["nonconstant", "background_border"])
     p.add_argument("--seed", type=int, default=0)

@@ -159,8 +159,6 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
         batches = 0
         for start in range(0, n - 1, config.batch_size):
             idx = order[start:start + config.batch_size]
-            if idx.size < 2:
-                continue
             x = Tensor(volumes[idx])
             y = Tensor(labels[idx])
             mu, logvar = model.encode(x, y)

@@ -46,6 +46,10 @@ class LeakError(RuntimeError):
     """Indices or non-real volumes crossed from training into validation or test."""
 
 
+# the config class each ``models`` block builds
+MODEL_CONFIGS = {"gmm": gmm_mod.EMConfig, "cvae": cvae_mod.CVAEConfig,
+                 "icwgan": gan_mod.GANConfig, "svm": clf.SVMConfig, "dnn": clf.DNNConfig}
+
 _KNOWN_KEYS = {
     "dataset", "regime", "generator", "classifier", "synth_per_class",
     "noise_per_class", "noise_variance", "split", "repeats", "seed",
@@ -99,6 +103,11 @@ class ExperimentConfig:
                 raise ConfigError(f"noise_per_class must be 0 for regime {self.regime!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        for kind, block in self.models.items():
+            if kind not in MODEL_CONFIGS:
+                raise ConfigError(
+                    f"unknown models block {kind!r}; expected one of {tuple(MODEL_CONFIGS)}")
+            nn.model_config(MODEL_CONFIGS[kind], block)
 
     @classmethod
     def from_dict(cls, raw):
@@ -332,12 +341,10 @@ def _train_and_eval_classifier(config, dataset, aug_train, val_idx, test_idx,
     if any(dataset.provenance[i] != REAL for i in val_idx):
         raise LeakError("synthetic data leaked into validation")
     if config.classifier == "svm":
-        block = dict(config.models.get("svm", {}))
+        svm_cfg = nn.model_config(clf.SVMConfig, config.models.get("svm", {}))
         features = np.asarray([apply_mask(v, mask) for v in aug_train.volumes])
-        model = clf.train_svm(features, aug_train.labels,
-                              reg_c=block.get("reg_c", 1.0),
-                              epochs=block.get("epochs", 300),
-                              seed=clf_seed, mask=mask)
+        model = clf.train_svm(features, aug_train.labels, svm_cfg.reg_c, svm_cfg.epochs,
+                              mask=mask)
         test_features = np.asarray([apply_mask(v, mask) for v in test_ds.volumes])
         preds = model.predict(test_features)
     else:
@@ -510,9 +517,9 @@ def blob_benchmark(seed, profiles=None, log=None, **overrides):
 
     # oracle: linear SVM on masked real training voxels
     features = np.asarray([apply_mask(v, mask) for v in train_ds.volumes])
-    svm_block = profiles["svm"]
-    oracle = clf.train_svm(features, train_ds.labels, reg_c=svm_block["reg_c"],
-                           epochs=svm_block["epochs"], seed=seed, mask=mask)
+    svm_cfg = nn.model_config(clf.SVMConfig, profiles["svm"])
+    oracle = clf.train_svm(features, train_ds.labels, svm_cfg.reg_c, svm_cfg.epochs,
+                           mask=mask)
     test_features = np.asarray([apply_mask(v, mask) for v in test_ds.volumes])
     results["oracle_accuracy"] = float(
         (oracle.predict(test_features) == test_ds.labels).mean())

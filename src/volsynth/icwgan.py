@@ -54,11 +54,11 @@ class GANConfig:
 
 
 class Generator(nn.Module):
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="gen"):
+    def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
         self.num_classes = num_classes
         self.z_dim = config.z_dim
         self.tower = nn.DeconvTower(dims, config.z_dim + num_classes, config.gen_channels,
-                                    rng, name, num_classes=num_classes, dtype=dtype)
+                                    rng, "gen", num_classes=num_classes, dtype=dtype)
 
     def forward(self, z, y, training):
         z = z if isinstance(z, Tensor) else Tensor(z)
@@ -70,11 +70,11 @@ class Generator(nn.Module):
 
 
 class Discriminator(nn.Module):
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64, name="disc"):
+    def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
         self.num_classes = num_classes
         self.tower = nn.ConvTower(dims, 1, config.disc_channels, config.leaky_alpha, rng,
-                                  name, num_classes=num_classes, dtype=dtype)
-        self.head = nn.Dense(self.tower.out_features, 1, rng, f"{name}.head", dtype=dtype)
+                                  "disc", num_classes=num_classes, dtype=dtype)
+        self.head = nn.Dense(self.tower.out_features, 1, rng, "disc.head", dtype=dtype)
 
     def forward(self, x, y):
         score, _ = self._forward_parts(x, y)
@@ -104,8 +104,8 @@ class Discriminator(nn.Module):
             dt = pres[i].data.dtype.type
             slope = np.where(pres[i].data > 0, dt(1.0), dt(self.tower.alpha))
             delta = ad.mul(delta, Tensor(slope))
-            delta = ad.conv3d_transpose(delta, conv.kernel, None, stride=conv.stride,
-                                        pad=conv.pad, output_dims=self.tower.sizes[i])
+            delta = ad.conv3d_transpose(delta, conv.kernel, None, stride=nn.STRIDE,
+                                        pad=nn.PAD, output_dims=self.tower.sizes[i])
             # drop the label channel: xhat never feeds the projections
             delta = ad.narrow(delta, 1, 0, conv.kernel.data.shape[1] - 1)
         return score, delta

@@ -20,6 +20,8 @@ from .datasets import one_hot
 from .volumes import Volume
 
 INIT_STD = 0.02
+# every tower layer: 4^3 kernels, stride 2, pad 1 (conv_schedule assumes them)
+KERNEL, STRIDE, PAD = 4, 2, 1
 
 
 class Parameter(Tensor):
@@ -27,8 +29,8 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name)
 
 
-def gaussian_init(shape, rng, std=INIT_STD, dtype=np.float64):
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+def gaussian_init(shape, rng, dtype=np.float64):
+    return rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
 
 
 class Module:
@@ -106,40 +108,34 @@ class Dense(Module):
 
 
 class Conv3d(Module):
-    def __init__(self, in_channels, out_channels, rng, name,
-                 kernel_size=4, stride=2, pad=1, dtype=np.float64):
-        shape = (out_channels, in_channels) + (kernel_size,) * 3
+    def __init__(self, in_channels, out_channels, rng, name, dtype=np.float64):
+        shape = (out_channels, in_channels) + (KERNEL,) * 3
         self.kernel = Parameter(gaussian_init(shape, rng, dtype=dtype), f"{name}.kernel")
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias")
-        self.stride = stride
-        self.pad = pad
 
     def __call__(self, x):
-        return ad.conv3d(x, self.kernel, self.bias, stride=self.stride, pad=self.pad)
+        return ad.conv3d(x, self.kernel, self.bias, stride=STRIDE, pad=PAD)
 
 
 class ConvTranspose3d(Module):
-    def __init__(self, in_channels, out_channels, rng, name,
-                 kernel_size=4, stride=2, pad=1, dtype=np.float64):
-        shape = (in_channels, out_channels) + (kernel_size,) * 3
+    def __init__(self, in_channels, out_channels, rng, name, dtype=np.float64):
+        shape = (in_channels, out_channels) + (KERNEL,) * 3
         self.kernel = Parameter(gaussian_init(shape, rng, dtype=dtype), f"{name}.kernel")
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias")
-        self.stride = stride
-        self.pad = pad
 
-    def __call__(self, x, output_dims=None):
-        return ad.conv3d_transpose(x, self.kernel, self.bias, stride=self.stride, pad=self.pad,
+    def __call__(self, x, output_dims):
+        return ad.conv3d_transpose(x, self.kernel, self.bias, stride=STRIDE, pad=PAD,
                                    output_dims=output_dims)
 
 
 class BatchNorm3d(Module):
     """Trained scale and shift; running statistics saved under ``state_name``."""
 
-    def __init__(self, channels, name, state_name, momentum=0.9, eps=1e-5, dtype=np.float64):
+    def __init__(self, channels, name, state_name, dtype=np.float64):
         self.gamma = Parameter(np.ones(channels, dtype=dtype), f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels, dtype=dtype), f"{name}.beta")
         self.state_name = state_name
-        self.state = ad.BatchNormState(channels, momentum=momentum, eps=eps, dtype=dtype)
+        self.state = ad.BatchNormState(channels, dtype=dtype)
 
     def __call__(self, x, training):
         return ad.batchnorm3d(x, self.gamma, self.beta, self.state, training)
@@ -361,10 +357,9 @@ def adam_step(params, grads, state):
 class Adam:
     """Optimizer bound to a parameter dict; wraps :func:`adam_step`."""
 
-    def __init__(self, params, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, learning_rate, beta1, beta2):
         self.params = params
-        self.state = AdamState(learning_rate=learning_rate, beta1=beta1,
-                               beta2=beta2, epsilon=epsilon)
+        self.state = AdamState(learning_rate=learning_rate, beta1=beta1, beta2=beta2)
 
     def step(self, grads):
         adam_step(self.params, grads, self.state)

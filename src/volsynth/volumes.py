@@ -53,10 +53,6 @@ class Volume:
     def dims(self):
         return self.data.shape
 
-    @property
-    def voxels(self):
-        return self.data.reshape(-1)
-
     def copy(self):
         return Volume(self.data.copy())
 
@@ -135,12 +131,12 @@ class Mask:
         return int(self.bits.sum())
 
 
-def compute_mask(train_volumes, strategy="nonconstant", threshold=0.0):
+def compute_mask(train_volumes, strategy="nonconstant"):
     """Compute a voxel mask from training volumes only.
 
     ``nonconstant``: voxel valid iff its variance across the volumes is > 0.
     ``background_border``: flood fill inward from border voxels that stay at
-    or below ``threshold`` in every volume; reached voxels are background.
+    or below 0 in every volume; reached voxels are background.
     """
     volumes = list(train_volumes)
     if not volumes:
@@ -150,7 +146,7 @@ def compute_mask(train_volumes, strategy="nonconstant", threshold=0.0):
         return Mask(stack.var(axis=0) > 0.0)
     if strategy != "background_border":
         raise ValueError(f"unknown mask strategy {strategy!r}")
-    candidate = np.all(stack <= threshold, axis=0)
+    candidate = np.all(stack <= 0.0, axis=0)
     background = np.zeros_like(candidate)
     border = np.zeros_like(candidate)
     for axis in range(3):

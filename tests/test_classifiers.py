@@ -16,7 +16,7 @@ class TestSVM:
         b = rng.normal(loc=(2.0, 0.0), scale=0.3, size=(30, 2))
         x = np.concatenate([a, b])
         y = np.array([0] * 30 + [1] * 30)
-        model = clf.train_svm(x, y, reg_c=1.0, epochs=200, seed=0)
+        model = clf.train_svm(x, y, reg_c=1.0, epochs=200)
         assert (model.predict(x) == y).mean() == 1.0
 
     def test_exact_tie_goes_to_lowest_class_index(self):
@@ -42,9 +42,10 @@ class TestSVM:
         x = rng.normal(size=(40, 5))
         y = rng.integers(0, 3, size=40)
         y[:3] = [0, 1, 2]
-        m1 = clf.train_svm(x, y, epochs=100, seed=0)
-        m2 = clf.train_svm(x, y, epochs=100, seed=99)  # full-batch: seed is inert
+        m1 = clf.train_svm(x, y, epochs=100)
+        m2 = clf.train_svm(x, y, epochs=100)
         assert np.array_equal(m1.weights, m2.weights)
+        assert np.array_equal(m1.biases, m2.biases)
 
 
 class TestDNN:

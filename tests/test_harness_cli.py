@@ -326,8 +326,102 @@ class TestCLI:
         for name, before in tables.items():
             assert (out1 / name).read_bytes() == before, name
 
+    @pytest.mark.parametrize("change, message", [
+        ({"models": {"icwgan": {"bogus": 1}}}, "unknown GANConfig fields: ['bogus']"),
+        ({"models": {"svm": {"C": 2.0}}}, "unknown SVMConfig fields: ['C']"),
+        ({"models": {"gan": {"epochs": 1}}}, "unknown models block 'gan'"),
+        ({"generator": ["gmm", "gan"]}, "real_synth requires a generator"),
+    ])
+    def test_augment_eval_checks_every_cell_before_training(self, tmp_path, capsys,
+                                                            change, message):
+        config = {
+            "dataset": {"kind": "blob", "num_classes": 2, "per_class": 6,
+                        "dims": [8, 8, 8], "seed": 4},
+            "regime": ["real", "real_synth"],
+            "generator": ["gmm", "icwgan"],
+            "classifier": "svm",
+            "synth_per_class": 2,
+            "split": {"kind": "kfold", "k": 2, "min_class_size": 2},
+            "repeats": 1,
+            "models": {"svm": {"epochs": 20}, "gmm": {"num_components": 1},
+                       "icwgan": TINY_BLOCKS["icwgan"]},
+        }
+        config.update(change, models={**config["models"], **change.get("models", {})})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        out.mkdir()
+        assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("kind, block", [
+        ("dnn", {"channels": [3, 4], "epochs": 2, "batch_size": 4}),
+        ("svm", None),
+    ])
+    def test_train_clf_is_deterministic_and_records_its_kind(self, tmp_path, kind, block):
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "2", "--per-class", "4",
+                            "--dims", "8,8,8", "--out", str(data)) == 0
+        argv = ["train-clf", "--manifest", str(data / "manifest.csv"), "--kind", kind]
+        if block is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(block))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+        for path in paths:
+            assert self.run_cli(*argv, "--out", str(path)) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        _, extra = nn.load_checkpoint(paths[0])
+        assert extra["kind"] == f"{kind}_classifier"
+
+    def test_train_clf_svm_reads_config(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "2", "--per-class", "4",
+                            "--dims", "8,8,8", "--out", str(data)) == 0
+
+        def train(name, block=None):
+            argv = ["train-clf", "--manifest", str(data / "manifest.csv"), "--kind", "svm",
+                    "--out", str(tmp_path / f"{name}.ckpt")]
+            if block is not None:
+                (tmp_path / f"{name}.json").write_text(json.dumps(block))
+                argv += ["--config", str(tmp_path / f"{name}.json")]
+            return self.run_cli(*argv)
+
+        assert train("plain") == 0
+        assert train("defaults", {"reg_c": 1.0, "epochs": 300}) == 0
+        assert train("short", {"reg_c": 0.5, "epochs": 5}) == 0
+        plain = (tmp_path / "plain.ckpt").read_bytes()
+        assert (tmp_path / "defaults.ckpt").read_bytes() == plain
+        arrays, extra = nn.load_checkpoint(tmp_path / "short.ckpt")
+        assert extra["reg_c"] == 0.5
+        assert not np.array_equal(arrays["weights"],
+                                  nn.load_checkpoint(tmp_path / "plain.ckpt")[0]["weights"])
+        assert train("bad", {"C": 1.0}) == 1
+        assert "unknown SVMConfig fields: ['C']" in capsys.readouterr().err
+
+    def test_train_gan_log_has_critic_iters_critic_rows_per_gen_row(self, tmp_path):
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "2", "--per-class", "4",
+                            "--dims", "8,8,8", "--out", str(data)) == 0
+        # 8 volumes in batches of 2: 4 critic steps per epoch, 8 in all
+        block = dict(TINY_BLOCKS["icwgan"], batch_size=2, critic_iters=3, epochs=2)
+        (tmp_path / "gan.json").write_text(json.dumps(block))
+        log = tmp_path / "gan.log"
+        assert self.run_cli("train-gan", "--manifest", str(data / "manifest.csv"),
+                            "--config", str(tmp_path / "gan.json"),
+                            "--out", str(tmp_path / "gan.ckpt"), "--log", str(log)) == 0
+        lines = log.read_text().splitlines()
+        assert lines[0] == "step,role,loss,penalty_term"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+        assert [r[1] for r in rows] == (["critic"] * 3 + ["gen"]) * 2 + ["critic"] * 2
+        assert all(np.isfinite(float(r[2])) and np.isfinite(float(r[3])) for r in rows)
+        assert all(float(r[3]) == 0.0 for r in rows if r[1] == "gen")
+
     def test_entry_point_runs(self):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
         result = subprocess.run([sys.executable, "-m", "volsynth.cli", "--help"],
+                                env=dict(os.environ, PYTHONPATH=src),
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert "augment-eval" in result.stdout
