@@ -310,13 +310,10 @@ def sigmoid(a):
 
 
 def _sigmoid(x):
-    # piecewise form avoids overflow in exp; clamp keeps the output strictly
-    # inside (0,1) even where rounding would saturate
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; clamp keeps the output strictly inside (0,1)
+    # even where rounding would saturate
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     tiny = np.finfo(x.dtype).tiny
     return np.clip(out, tiny, np.nextafter(x.dtype.type(1.0), x.dtype.type(0.0)))
 

@@ -100,14 +100,13 @@ class Discriminator(nn.Module):
         delta = ad.dense(ones, ad.reshape(self.head.weight, (1, -1)))
         delta = ad.reshape(delta, pres[-1].data.shape)
         for i in reversed(range(len(pres))):
-            conv = self.tower.convs[i]
             dt = pres[i].data.dtype.type
             slope = np.where(pres[i].data > 0, dt(1.0), dt(self.tower.alpha))
             delta = ad.mul(delta, Tensor(slope))
-            delta = ad.conv3d_transpose(delta, conv.kernel, None, stride=nn.STRIDE,
-                                        pad=nn.PAD, output_dims=self.tower.sizes[i])
-            # drop the label channel: xhat never feeds the projections
-            delta = ad.narrow(delta, 1, 0, conv.kernel.data.shape[1] - 1)
+            # volume channels only: xhat never feeds the label projections
+            delta = ad.conv3d_transpose(delta, self.tower.volume_kernel(i), None,
+                                        stride=nn.STRIDE, pad=nn.PAD,
+                                        output_dims=self.tower.sizes[i])
         return score, delta
 
 

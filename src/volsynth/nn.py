@@ -108,13 +108,12 @@ class Dense(Module):
 
 
 class Conv3d(Module):
+    """Kernel [F, C, 4, 4, 4] and bias of one ConvTower layer, which applies them."""
+
     def __init__(self, in_channels, out_channels, rng, name, dtype=np.float64):
         shape = (out_channels, in_channels) + (KERNEL,) * 3
         self.kernel = Parameter(gaussian_init(shape, rng, dtype=dtype), f"{name}.kernel")
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias")
-
-    def __call__(self, x):
-        return ad.conv3d(x, self.kernel, self.bias, stride=STRIDE, pad=PAD)
 
 
 class ConvTranspose3d(Module):
@@ -167,14 +166,26 @@ def label_projections(num_classes, sizes, rng, name, dtype):
             for i, size in enumerate(sizes)]
 
 
+class LabelError(ValueError):
+    """A label matrix whose rows are not one-hot."""
+
+
 def label_tensor(y, num_classes):
-    """Labels as a Tensor: class indices become one-hot rows, matrices pass through."""
-    if isinstance(y, Tensor):
-        return y
-    y = np.asarray(y)
-    if y.ndim == 1:
-        y = one_hot(y, num_classes)
-    return Tensor(y)
+    """Labels as a Tensor of one-hot rows; class indices are encoded first.
+
+    A matrix or Tensor passes through only if every row holds entries in
+    {0, 1} with exactly one 1: the conditioned towers gather per-class label
+    terms by row, which equals the per-row label volume only for one-hot rows.
+    """
+    if not isinstance(y, Tensor):
+        y = np.asarray(y)
+        y = Tensor(one_hot(y, num_classes) if y.ndim == 1 else y)
+    rows = y.data
+    if rows.ndim != 2 or not (np.all((rows == 0) | (rows == 1))
+                              and np.all(rows.sum(axis=1) == 1)):
+        raise LabelError(f"label rows must be one-hot (entries 0 or 1, one 1 per row); "
+                         f"got a {rows.shape} matrix that is not")
+    return y
 
 
 # inference runs on slices of this many rows: a forward pass keeps every
@@ -235,9 +246,12 @@ class ConvTower(Module):
     """Stride-2 convolutions, each followed by a leaky ReLU.
 
     With ``num_classes`` > 0 every conv's input gains one channel: the label
-    volume ``projections[i](y)`` at that layer's input size. ``forward``
-    returns the flattened last activation and every layer's pre-activation;
-    the critic's gradient-penalty graph reads the latter.
+    volume ``projections[i](y)`` at that layer's input size. A label volume
+    depends only on the one-hot row, so ``forward`` splits each conv into a
+    volume term over the input's channels and a label term convolved once per
+    class and gathered by row. ``forward`` returns the flattened last
+    activation and every layer's pre-activation; the critic's gradient-penalty
+    graph reads the latter.
     """
 
     def __init__(self, dims, in_channels, channels, alpha, rng, name,
@@ -254,13 +268,31 @@ class ConvTower(Module):
         self.out_features = channels[-1] * int(np.prod(self.sizes[-1]))
         self.projections = label_projections(num_classes, self.sizes[:-1], rng, name, dtype)
 
+    def volume_kernel(self, i):
+        """Layer i's kernel over its input volume's channels (all of it without classes)."""
+        kernel = self.convs[i].kernel
+        if not self.projections:
+            return kernel
+        return ad.narrow(kernel, 1, 0, kernel.data.shape[1] - 1)
+
+    def _label_term(self, i, y):
+        """Layer i's response to the label channel: one conv per class, gathered by row."""
+        kernel, projection = self.convs[i].kernel, self.projections[i]
+        n = projection.weight.data.shape[0]
+        per_class = ad.conv3d(projection(Tensor(np.eye(n, dtype=y.data.dtype))),
+                              ad.narrow(kernel, 1, kernel.data.shape[1] - 1, 1),
+                              stride=STRIDE, pad=PAD)
+        rows = ad.dense(y, ad.reshape(per_class, (n, -1)))
+        return ad.reshape(rows, (y.data.shape[0],) + per_class.data.shape[1:])
+
     def forward(self, x, y=None):
         h, pres = x, []
         for i, conv in enumerate(self.convs):
+            pre = ad.conv3d(h, self.volume_kernel(i), conv.bias, stride=STRIDE, pad=PAD)
             if self.projections:
-                h = ad.concat_channels(h, self.projections[i](y))
-            pres.append(conv(h))
-            h = ad.leaky_relu(pres[-1], self.alpha)
+                pre = ad.add(pre, self._label_term(i, y))
+            pres.append(pre)
+            h = ad.leaky_relu(pre, self.alpha)
         return ad.flatten(h), pres
 
 

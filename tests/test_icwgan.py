@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsynth import autodiff as ad
 from volsynth import harness, icwgan, nn
@@ -65,6 +67,143 @@ class TestLabelProjection:
         report = nn.grad_check(
             lambda p: ad.tsum(proj(Tensor(y)) * Tensor(probe)), params)
         assert report.passed, str(report)
+
+
+class TestLabelContract:
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+    ], ids=["soft", "two-hot"])
+    def test_rows_that_are_not_one_hot_rejected(self, rows):
+        with pytest.raises(nn.LabelError, match="one-hot"):
+            nn.label_tensor(np.array(rows), 3)
+        with pytest.raises(nn.LabelError, match="one-hot"):
+            nn.label_tensor(Tensor(np.array(rows)), 3)
+
+
+def concat_critic_parts(disc, x, y):
+    """Score and pre-activations with each label volume concatenated as a channel.
+
+    The reference formulation: every conv sees the whole batch's label volumes
+    through its full kernel.
+    """
+    tower = disc.tower
+    h, pres = x, []
+    for conv, proj in zip(tower.convs, tower.projections):
+        pres.append(ad.conv3d(ad.concat_channels(h, proj(y)), conv.kernel, conv.bias,
+                              stride=nn.STRIDE, pad=nn.PAD))
+        h = ad.leaky_relu(pres[-1], tower.alpha)
+    return disc.head(ad.flatten(h)), pres
+
+
+class ConcatCritic:
+    """Duck-typed critic over ``disc``'s parameters in the concatenated formulation."""
+
+    def __init__(self, disc):
+        self.disc = disc
+
+    def forward(self, x, y):
+        return concat_critic_parts(self.disc, x, y)[0]
+
+    def score_and_input_grad(self, x, y):
+        disc, tower = self.disc, self.disc.tower
+        score, pres = concat_critic_parts(disc, x, y)
+        ones = Tensor(np.ones((x.data.shape[0], 1)))
+        delta = ad.reshape(ad.dense(ones, ad.reshape(disc.head.weight, (1, -1))),
+                           pres[-1].data.shape)
+        for i in reversed(range(len(pres))):
+            kernel = tower.convs[i].kernel
+            slope = np.where(pres[i].data > 0, 1.0, tower.alpha)
+            delta = ad.conv3d_transpose(ad.mul(delta, Tensor(slope)), kernel, None,
+                                        stride=nn.STRIDE, pad=nn.PAD,
+                                        output_dims=tower.sizes[i])
+            delta = ad.narrow(delta, 1, 0, kernel.data.shape[1] - 1)
+        return score, delta
+
+
+class FixedGenerator:
+    """Duck-typed generator whose samples are fixed volumes."""
+
+    def __init__(self, volumes):
+        self.volumes = volumes
+
+    def forward(self, z, y, training):
+        return Tensor(self.volumes)
+
+
+def assert_close(a, b, rel=1e-10, scale=None):
+    """|a - b| <= rel * scale, where scale defaults to the largest magnitude of a and b."""
+    if scale is None:
+        scale = max(np.abs(a).max(), np.abs(b).max())
+    assert np.abs(a - b).max() <= rel * scale
+
+
+class TestPerClassLabelTerm:
+    """The critic's label term per class equals the concatenated label channel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_matches_concatenated_label_channels(self, num_classes, batch, seed):
+        rng = np.random.default_rng(seed)
+        config = icwgan.GANConfig(disc_channels=(2, 3), dtype="float64")
+        disc = icwgan.Discriminator((8, 8, 8), num_classes, config, rng)
+        for proj in disc.tower.projections:     # label volumes away from zero
+            proj.weight.data = rng.normal(0.0, 1.0, size=proj.weight.data.shape)
+        ref = ConcatCritic(disc)
+        x = Tensor(rng.uniform(size=(batch, 1, 8, 8, 8)))
+        fake = rng.uniform(size=(batch, 1, 8, 8, 8))
+        y = Tensor(one_hot(rng.integers(0, num_classes, batch), num_classes))
+
+        assert_close(disc.forward(x, y).data, ref.forward(x, y).data)
+        score, grad = disc.score_and_input_grad(x, y)
+        ref_score, ref_grad = ref.score_and_input_grad(x, y)
+        assert_close(score.data, ref_score.data)
+        assert_close(grad.data, ref_grad.data)
+
+        params = disc.parameters()
+        eps = rng.uniform(size=batch)
+        losses = [icwgan.critic_loss(critic, FixedGenerator(fake), x, y, None, eps,
+                                     config.lambda_gp)[0] for critic in (disc, ref)]
+        assert_close(losses[0].data, losses[1].data)
+        grads, ref_grads = (ad.backward(loss, params) for loss in losses)
+        # a gradient whose terms cancel to 0 keeps only rounding residue, so
+        # every parameter is held to the largest gradient's scale
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name in params:
+            assert_close(grads[name], ref_grads[name], scale=scale)
+
+    def test_no_batch_row_gradient_with_the_label_channel(self, monkeypatch):
+        """The critic step builds no [batch, C+1, ...] tensor in any transposed conv.
+
+        Label volumes are convolved once per class, the volume inputs of the
+        fake and real passes get no input gradient, and the penalty graph's
+        transposed convs use kernels narrowed to the volume channels.
+        """
+        cfg = icwgan.GANConfig(z_dim=3, gen_channels=(4, 3), disc_channels=(3, 4),
+                               dtype="float64")
+        rng = np.random.default_rng(0)
+        gen = icwgan.Generator((8, 8, 8), 2, cfg, rng)
+        disc = icwgan.Discriminator((8, 8, 8), 2, cfg, rng)
+        batch = 3
+        widened = {(batch, c + 1) + size
+                   for c, size in zip((1,) + cfg.disc_channels, disc.tower.sizes)}
+        shapes = []
+        core = ad._transpose_core
+
+        def recording(*args, **kwargs):
+            out = core(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ad, "_transpose_core", recording)
+        x = Tensor(rng.uniform(size=(batch, 1, 8, 8, 8)))
+        y = Tensor(one_hot(np.array([0, 1, 1]), 2))
+        z = Tensor(rng.normal(size=(batch, 3)))
+        loss, _ = icwgan.critic_loss(disc, gen, x, y, z, rng.uniform(size=batch),
+                                     cfg.lambda_gp)
+        ad.backward(loss, disc.parameters())
+        assert shapes
+        assert not widened & set(shapes), shapes
 
 
 class TestForwardShapes:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from volsynth import autodiff as ad
 from volsynth.autodiff import Tensor
@@ -217,6 +218,26 @@ class TestActivations:
         x = Tensor(rng.normal(scale=20.0, size=1000))
         out = ad.sigmoid(x).data
         assert out.min() > 0.0 and out.max() < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(lambda dt: hnp.arrays(
+        dt, hnp.array_shapes(max_dims=3, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False,
+                           width=np.finfo(dt).bits))))
+    @example(np.array([0.0, -0.0, 100.0, -100.0, 1e-30, -1e-30], dtype=np.float32))
+    @example(np.array([0.0, -0.0, 100.0, -100.0, 1e-30, -1e-30, 800.0, -800.0]))
+    def test_sigmoid_bits_equal_the_piecewise_form(self, x):
+        """The branch-free form gives the masked piecewise form's bits."""
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        ref = np.clip(ref, np.finfo(x.dtype).tiny,
+                      np.nextafter(x.dtype.type(1.0), x.dtype.type(0.0)))
+        out = ad.sigmoid(Tensor(x)).data
+        assert out.dtype == x.dtype
+        assert out.tobytes() == ref.tobytes()
 
     def test_leaky_alpha_bounds(self):
         with pytest.raises(ad.GraphError):
