@@ -548,9 +548,9 @@ class BatchNormState:
     Batch variance is biased, consistent with the normalization itself.
     """
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5, dtype=np.float64):
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+    def __init__(self, channels, momentum=0.9, eps=1e-5):
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
         self.momentum = momentum
         self.eps = eps
 

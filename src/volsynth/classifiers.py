@@ -98,12 +98,11 @@ class DNNConfig:
 class DNNClassifier(nn.Module):
     """Critic-shaped tower without label concatenation; dense head to logits."""
 
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
+    def __init__(self, dims, num_classes, config, rng):
         self.num_classes = num_classes
-        self.tower = nn.ConvTower(dims, 1, config.channels, config.leaky_alpha, rng, "clf",
-                                  dtype=dtype)
-        self.head = nn.Dense(self.tower.out_features, num_classes, rng, "clf.head",
-                             dtype=dtype)
+        self.tower = nn.ConvTower(dims, 1, config.channels, config.leaky_alpha, rng, "clf")
+        self.head = nn.Dense(self.tower.out_features, num_classes, rng, "clf.head")
+        self.cast(config.dtype)
 
     def forward(self, x):
         flat, _ = self.tower.forward(x if isinstance(x, Tensor) else Tensor(x))
@@ -140,9 +139,9 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
         num_classes = int(y_all.max()) + 1
     dtype = np.dtype(config.dtype).type
     rng = np.random.default_rng(config.seed)
-    model = DNNClassifier(x_all.shape[2:], num_classes, config, rng, dtype=dtype)
+    model = DNNClassifier(x_all.shape[2:], num_classes, config, rng)
     params = model.parameters()
-    opt = nn.Adam(params, config.learning_rate, config.beta1, config.beta2)
+    adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
 
     x_all = x_all.astype(dtype)
     onehots = one_hot(y_all, num_classes, dtype=dtype)
@@ -157,7 +156,7 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
             logits = model.forward(Tensor(x_all[idx]))
             loss = ad.softmax_cross_entropy(logits, onehots[idx])
             grads = ad.backward(loss, params)
-            opt.step(grads)
+            nn.adam_step(params, grads, adam)
             total += loss.item()
             batches += 1
         history.train_loss.append(total / max(batches, 1))
@@ -166,9 +165,9 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
             acc = float((preds == np.asarray(val_labels)).mean())
             history.val_accuracy.append(acc)
             if acc > best[0]:
-                best = (acc, model.state_arrays(), epoch)
+                best = (acc, nn.state_arrays(model), epoch)
     if best[1] is not None:
-        model.load_state(best[1])
+        nn.load_state(best[1], model)
     history.best_epoch = best[2]
     return model, history
 

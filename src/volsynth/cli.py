@@ -125,7 +125,7 @@ def cmd_train_clf(args):
         config = _config_from_args(clf.DNNConfig, args)
         model, _ = clf.train_dnn_classifier(dataset.stack(np.float32), dataset.labels,
                                             config, num_classes=dataset.num_classes)
-        arrays = model.state_arrays()
+        arrays = nn.state_arrays(model)
         extra = {"kind": "dnn_classifier", "dims": list(dataset.dims),
                  "num_classes": dataset.num_classes,
                  "channels": list(config.channels), "dtype": config.dtype}

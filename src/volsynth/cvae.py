@@ -58,20 +58,20 @@ class LossParts:
 
 
 class CVAE(nn.Module):
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
+    def __init__(self, dims, num_classes, config, rng):
         self.dims = tuple(dims)
         self.num_classes = num_classes
         self.config = config
-        self.label_proj = nn.LabelProjection(num_classes, self.dims, rng, "enc.proj",
-                                             dtype=dtype)
+        self.label_proj = nn.LabelProjection(num_classes, self.dims, rng, "enc.proj")
         # input channels: the volume and its label volume
         self.encoder = nn.ConvTower(dims, 2, config.enc_channels, config.leaky_alpha, rng,
-                                    "enc", dtype=dtype)
+                                    "enc")
         flat = self.encoder.out_features
-        self.mu_head = nn.Dense(flat, config.latent_dim, rng, "enc.mu", dtype=dtype)
-        self.logvar_head = nn.Dense(flat, config.latent_dim, rng, "enc.logvar", dtype=dtype)
+        self.mu_head = nn.Dense(flat, config.latent_dim, rng, "enc.mu")
+        self.logvar_head = nn.Dense(flat, config.latent_dim, rng, "enc.logvar")
         self.decoder = nn.DeconvTower(dims, config.latent_dim + num_classes,
-                                      config.dec_channels, rng, "dec", dtype=dtype)
+                                      config.dec_channels, rng, "dec")
+        self.cast(config.dtype)
 
     def encode(self, x, y):
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -139,9 +139,9 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
         raise ValueError("batch_size must be >= 2 (decoder batchnorm)")
     dtype = np.dtype(config.dtype).type
     rng = np.random.default_rng(config.seed)
-    model = CVAE(dataset.dims, dataset.num_classes, config, rng, dtype=dtype)
+    model = CVAE(dataset.dims, dataset.num_classes, config, rng)
     params = model.parameters()
-    opt = nn.Adam(params, config.learning_rate, config.beta1, config.beta2)
+    adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
 
     if train_indices is None:
         train_indices = np.arange(len(dataset))
@@ -167,7 +167,7 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
             x_hat = model.decode(z, y, training=True)
             total, parts = elbo_loss(x, x_hat, mu, logvar, config.reconstruction)
             grads = ad.backward(total, params)
-            opt.step(grads)
+            nn.adam_step(params, grads, adam)
             parts_sum += (parts.reconstruction, parts.kl)
             batches += 1
         mean_parts = LossParts(*(parts_sum / max(batches, 1)))
@@ -176,9 +176,9 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
             val_loss = evaluate_elbo(model, dataset, val_indices, config).total
             history.validation.append(val_loss)
             if val_loss < best[0]:
-                best = (val_loss, model.state_arrays(), epoch)
+                best = (val_loss, nn.state_arrays(model), epoch)
     if best[1] is not None:
-        model.load_state(best[1])
+        nn.load_state(best[1], model)
     history.best_epoch = best[2]
     return model, history
 
@@ -213,7 +213,7 @@ CHECKPOINT_FIELDS = ("latent_dim", "enc_channels", "dec_channels", "leaky_alpha"
 def save_cvae(model, path):
     extra = {"kind": "cvae", "dims": list(model.dims), "num_classes": model.num_classes}
     extra.update((k, getattr(model.config, k)) for k in CHECKPOINT_FIELDS)
-    nn.save_checkpoint(path, model.state_arrays(), precision=model.config.dtype, extra=extra)
+    nn.save_checkpoint(path, nn.state_arrays(model), precision=model.config.dtype, extra=extra)
 
 
 def load_cvae(path):
@@ -222,8 +222,6 @@ def load_cvae(path):
         raise nn.CheckpointError(f"{path} is not a CVAE checkpoint")
     with nn.checkpoint_errors(path):
         config = nn.model_config(CVAEConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
-        dtype = np.dtype(config.dtype).type
-        model = CVAE(extra["dims"], extra["num_classes"], config,
-                     np.random.default_rng(0), dtype=dtype)
-        model.load_state(arrays)
+        model = CVAE(extra["dims"], extra["num_classes"], config, np.random.default_rng(0))
+        nn.load_state(arrays, model)
     return model, config

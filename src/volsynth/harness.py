@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,12 +49,6 @@ class LeakError(RuntimeError):
 # the config class each ``models`` block builds
 MODEL_CONFIGS = {"gmm": gmm_mod.EMConfig, "cvae": cvae_mod.CVAEConfig,
                  "icwgan": gan_mod.GANConfig, "svm": clf.SVMConfig, "dnn": clf.DNNConfig}
-
-_KNOWN_KEYS = {
-    "dataset", "regime", "generator", "classifier", "synth_per_class",
-    "noise_per_class", "noise_variance", "split", "repeats", "seed",
-    "mask_strategy", "single_model", "models", "output_dir",
-}
 
 
 @dataclass
@@ -111,7 +105,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        unknown = set(raw) - _KNOWN_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "dataset" not in raw:

@@ -54,11 +54,12 @@ class GANConfig:
 
 
 class Generator(nn.Module):
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
+    def __init__(self, dims, num_classes, config, rng):
         self.num_classes = num_classes
         self.z_dim = config.z_dim
         self.tower = nn.DeconvTower(dims, config.z_dim + num_classes, config.gen_channels,
-                                    rng, "gen", num_classes=num_classes, dtype=dtype)
+                                    rng, "gen", num_classes=num_classes)
+        self.cast(config.dtype)
 
     def forward(self, z, y, training):
         z = z if isinstance(z, Tensor) else Tensor(z)
@@ -70,11 +71,12 @@ class Generator(nn.Module):
 
 
 class Discriminator(nn.Module):
-    def __init__(self, dims, num_classes, config, rng, dtype=np.float64):
+    def __init__(self, dims, num_classes, config, rng):
         self.num_classes = num_classes
         self.tower = nn.ConvTower(dims, 1, config.disc_channels, config.leaky_alpha, rng,
-                                  "disc", num_classes=num_classes, dtype=dtype)
-        self.head = nn.Dense(self.tower.out_features, 1, rng, "disc.head", dtype=dtype)
+                                  "disc", num_classes=num_classes)
+        self.head = nn.Dense(self.tower.out_features, 1, rng, "disc.head")
+        self.cast(config.dtype)
 
     def forward(self, x, y):
         score, _ = self._forward_parts(x, y)
@@ -170,19 +172,18 @@ def train_icwgan(dataset, config):
     rng = np.random.default_rng(config.seed)
     dims = dataset.dims
     num_classes = dataset.num_classes
-    gen = Generator(dims, num_classes, config, rng, dtype=dtype)
-    disc = Discriminator(dims, num_classes, config, rng, dtype=dtype)
+    gen = Generator(dims, num_classes, config, rng)
+    disc = Discriminator(dims, num_classes, config, rng)
     gen_params = gen.parameters()
     disc_params = disc.parameters()
-    opt_g = nn.Adam(gen_params, config.learning_rate, config.beta1, config.beta2)
-    opt_d = nn.Adam(disc_params, config.learning_rate, config.beta1, config.beta2)
+    gen_adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
+    disc_adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
 
     volumes = dataset.stack(dtype=dtype)
     labels = one_hot(dataset.labels, num_classes, dtype=dtype)
     log = GANTrainLog()
     step = 0
     critic_since_gen = 0
-    last_y = None
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n - config.batch_size + 1, config.batch_size):
@@ -193,16 +194,15 @@ def train_icwgan(dataset, config):
             eps = rng.uniform(0.0, 1.0, size=idx.size)
             loss, penalty = critic_loss(disc, gen, x_real, y, z, eps, config.lambda_gp)
             grads = ad.backward(loss, disc_params)
-            opt_d.step(grads)
+            nn.adam_step(disc_params, grads, disc_adam)
             step += 1
             log.append(step, "critic", loss.item(), penalty.item())
             critic_since_gen += 1
-            last_y = y
             if critic_since_gen == config.critic_iters:
-                z = Tensor(rng.standard_normal((last_y.data.shape[0], config.z_dim)).astype(dtype))
-                gloss = generator_loss(disc, gen, last_y, z)
+                z = Tensor(rng.standard_normal((idx.size, config.z_dim)).astype(dtype))
+                gloss = generator_loss(disc, gen, y, z)
                 grads = ad.backward(gloss, gen_params)
-                opt_g.step(grads)
+                nn.adam_step(gen_params, grads, gen_adam)
                 step += 1
                 log.append(step, "gen", gloss.item(), 0.0)
                 critic_since_gen = 0
@@ -233,8 +233,7 @@ def load_gan(path):
     with nn.checkpoint_errors(path):
         config = nn.model_config(GANConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
         rng = np.random.default_rng(0)
-        dtype = np.dtype(config.dtype).type
-        gen = Generator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
-        disc = Discriminator(extra["dims"], extra["num_classes"], config, rng, dtype=dtype)
+        gen = Generator(extra["dims"], extra["num_classes"], config, rng)
+        disc = Discriminator(extra["dims"], extra["num_classes"], config, rng)
         nn.load_state(arrays, gen, disc)
     return gen, disc, config

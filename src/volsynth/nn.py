@@ -2,7 +2,8 @@
 
 Layers own named Parameter tensors and call the ops in :mod:`autodiff`.
 Initialization draws from a zero-mean Gaussian (std 0.02, biases zero),
-the usual choice for adversarial training.
+the usual choice for adversarial training. Layers build in float64; a model
+casts itself once to its config's precision with :meth:`Module.cast`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name)
 
 
-def gaussian_init(shape, rng, dtype=np.float64):
-    return rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
+def gaussian_init(shape, rng):
+    return rng.normal(0.0, INIT_STD, size=shape)
 
 
 class Module:
@@ -48,11 +49,13 @@ class Module:
     def parameters(self):
         return {p.name: p for p in self.walk() if isinstance(p, Parameter)}
 
-    def load_state(self, arrays):
-        load_state(arrays, self)
-
-    def state_arrays(self):
-        return state_arrays(self)
+    def cast(self, dtype):
+        """Every parameter and batchnorm running statistic converted to ``dtype``."""
+        for p in self.parameters().values():
+            p.data = p.data.astype(dtype)
+        for bn in _batchnorms([self]):
+            bn.state.running_mean = bn.state.running_mean.astype(dtype)
+            bn.state.running_var = bn.state.running_var.astype(dtype)
 
 
 def state_arrays(*modules):
@@ -98,10 +101,10 @@ def _restored(arrays, name, current):
 
 
 class Dense(Module):
-    def __init__(self, in_features, out_features, rng, name, dtype=np.float64):
-        self.weight = Parameter(gaussian_init((in_features, out_features), rng, dtype=dtype),
+    def __init__(self, in_features, out_features, rng, name):
+        self.weight = Parameter(gaussian_init((in_features, out_features), rng),
                                 f"{name}.weight")
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype), f"{name}.bias")
+        self.bias = Parameter(np.zeros(out_features), f"{name}.bias")
 
     def __call__(self, x):
         return ad.dense(x, self.weight, self.bias)
@@ -110,17 +113,17 @@ class Dense(Module):
 class Conv3d(Module):
     """Kernel [F, C, 4, 4, 4] and bias of one ConvTower layer, which applies them."""
 
-    def __init__(self, in_channels, out_channels, rng, name, dtype=np.float64):
+    def __init__(self, in_channels, out_channels, rng, name):
         shape = (out_channels, in_channels) + (KERNEL,) * 3
-        self.kernel = Parameter(gaussian_init(shape, rng, dtype=dtype), f"{name}.kernel")
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias")
+        self.kernel = Parameter(gaussian_init(shape, rng), f"{name}.kernel")
+        self.bias = Parameter(np.zeros(out_channels), f"{name}.bias")
 
 
 class ConvTranspose3d(Module):
-    def __init__(self, in_channels, out_channels, rng, name, dtype=np.float64):
+    def __init__(self, in_channels, out_channels, rng, name):
         shape = (in_channels, out_channels) + (KERNEL,) * 3
-        self.kernel = Parameter(gaussian_init(shape, rng, dtype=dtype), f"{name}.kernel")
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias")
+        self.kernel = Parameter(gaussian_init(shape, rng), f"{name}.kernel")
+        self.bias = Parameter(np.zeros(out_channels), f"{name}.bias")
 
     def __call__(self, x, output_dims):
         return ad.conv3d_transpose(x, self.kernel, self.bias, stride=STRIDE, pad=PAD,
@@ -130,11 +133,11 @@ class ConvTranspose3d(Module):
 class BatchNorm3d(Module):
     """Trained scale and shift; running statistics saved under ``state_name``."""
 
-    def __init__(self, channels, name, state_name, dtype=np.float64):
-        self.gamma = Parameter(np.ones(channels, dtype=dtype), f"{name}.gamma")
-        self.beta = Parameter(np.zeros(channels, dtype=dtype), f"{name}.beta")
+    def __init__(self, channels, name, state_name):
+        self.gamma = Parameter(np.ones(channels), f"{name}.gamma")
+        self.beta = Parameter(np.zeros(channels), f"{name}.beta")
         self.state_name = state_name
-        self.state = ad.BatchNormState(channels, dtype=dtype)
+        self.state = ad.BatchNormState(channels)
 
     def __call__(self, x, training):
         return ad.batchnorm3d(x, self.gamma, self.beta, self.state, training)
@@ -143,26 +146,25 @@ class BatchNorm3d(Module):
 class LabelProjection(Module):
     """Dense map from a label vector to a tanh-activated single-channel volume."""
 
-    def __init__(self, num_classes, spatial, rng, name, dtype=np.float64):
+    def __init__(self, num_classes, spatial, rng, name):
         d, h, w = spatial
         self.spatial = (d, h, w)
-        self.weight = Parameter(gaussian_init((num_classes, d * h * w), rng, dtype=dtype),
-                                f"{name}.weight")
-        self.bias = Parameter(np.zeros(d * h * w, dtype=dtype), f"{name}.bias")
+        self.weight = Parameter(gaussian_init((num_classes, d * h * w), rng), f"{name}.weight")
+        self.bias = Parameter(np.zeros(d * h * w), f"{name}.bias")
 
     def __call__(self, y):
         vol = ad.tanh(ad.dense(y, self.weight, self.bias))
         return ad.reshape(vol, (y.data.shape[0], 1) + self.spatial)
 
 
-def label_projections(num_classes, sizes, rng, name, dtype):
+def label_projections(num_classes, sizes, rng, name):
     """One LabelProjection ``{name}.proj{i}`` per spatial size; none without classes.
 
     Towers build them after their own layers: RNG draws and checkpoint order rely on it.
     """
     if not num_classes:
         return []
-    return [LabelProjection(num_classes, size, rng, f"{name}.proj{i}", dtype=dtype)
+    return [LabelProjection(num_classes, size, rng, f"{name}.proj{i}")
             for i, size in enumerate(sizes)]
 
 
@@ -254,19 +256,17 @@ class ConvTower(Module):
     graph reads the latter.
     """
 
-    def __init__(self, dims, in_channels, channels, alpha, rng, name,
-                 num_classes=0, dtype=np.float64):
+    def __init__(self, dims, in_channels, channels, alpha, rng, name, num_classes=0):
         self.sizes = conv_schedule(dims, len(channels))
         self.alpha = alpha
         widths = [in_channels] + list(channels)
         label = 1 if num_classes else 0
         self.convs = [
-            Conv3d(widths[i] + label, widths[i + 1], rng, f"{name}.conv{i}",
-                   dtype=dtype)
+            Conv3d(widths[i] + label, widths[i + 1], rng, f"{name}.conv{i}")
             for i in range(len(channels))
         ]
         self.out_features = channels[-1] * int(np.prod(self.sizes[-1]))
-        self.projections = label_projections(num_classes, self.sizes[:-1], rng, name, dtype)
+        self.projections = label_projections(num_classes, self.sizes[:-1], rng, name)
 
     def volume_kernel(self, i):
         """Layer i's kernel over its input volume's channels (all of it without classes)."""
@@ -304,27 +304,24 @@ class DeconvTower(Module):
     conv's input gains one channel: the label volume ``projections[i](y)``.
     """
 
-    def __init__(self, dims, in_features, channels, rng, name, num_classes=0,
-                 dtype=np.float64):
+    def __init__(self, dims, in_features, channels, rng, name, num_classes=0):
         layers = len(channels)
         self.sizes = deconv_schedule(dims, layers)
         self.seed_shape = (channels[0],) + self.sizes[0]
         self.input_dense = Dense(in_features, int(np.prod(self.seed_shape)), rng,
-                                 f"{name}.input", dtype=dtype)
-        self.seed_bn = BatchNorm3d(channels[0], f"{name}.bn0", f"{name}.bnstate0",
-                                   dtype=dtype)
+                                 f"{name}.input")
+        self.seed_bn = BatchNorm3d(channels[0], f"{name}.bn0", f"{name}.bnstate0")
         widths = list(channels) + [1]
         label = 1 if num_classes else 0
         self.deconvs = [
-            ConvTranspose3d(widths[i] + label, widths[i + 1], rng,
-                            f"{name}.deconv{i}", dtype=dtype)
+            ConvTranspose3d(widths[i] + label, widths[i + 1], rng, f"{name}.deconv{i}")
             for i in range(layers)
         ]
         self.bns = [
-            BatchNorm3d(widths[i], f"{name}.bn{i}", f"{name}.bnstate{i}", dtype=dtype)
+            BatchNorm3d(widths[i], f"{name}.bn{i}", f"{name}.bnstate{i}")
             for i in range(1, layers)
         ]
-        self.projections = label_projections(num_classes, self.sizes[:-1], rng, name, dtype)
+        self.projections = label_projections(num_classes, self.sizes[:-1], rng, name)
 
     def forward(self, x, training, y=None):
         h = ad.reshape(self.input_dense(x), (x.data.shape[0],) + self.seed_shape)
@@ -383,18 +380,6 @@ def adam_step(params, grads, state):
         m_hat = m / correction1
         v_hat = v / correction2
         p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params, state
-
-
-class Adam:
-    """Optimizer bound to a parameter dict; wraps :func:`adam_step`."""
-
-    def __init__(self, params, learning_rate, beta1, beta2):
-        self.params = params
-        self.state = AdamState(learning_rate=learning_rate, beta1=beta1, beta2=beta2)
-
-    def step(self, grads):
-        adam_step(self.params, grads, self.state)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,6 @@ def compute_mask(train_volumes, strategy="nonconstant"):
     if strategy != "background_border":
         raise ValueError(f"unknown mask strategy {strategy!r}")
     candidate = np.all(stack <= 0.0, axis=0)
-    background = np.zeros_like(candidate)
     border = np.zeros_like(candidate)
     for axis in range(3):
         sl = [slice(None)] * 3
@@ -156,26 +155,19 @@ def compute_mask(train_volumes, strategy="nonconstant"):
         sl[axis] = -1
         border[tuple(sl)] = True
     background = border & candidate
-    # 6-connected flood fill by repeated dilation, vectorized with shifts
+    # 6-connected flood fill by repeated dilation: OR each axis's one-voxel shifts
     while True:
         grown = background.copy()
         for axis in range(3):
-            grown |= np.roll(background, 1, axis=axis) & _not_wrapped(background.shape, axis, 1)
-            grown |= np.roll(background, -1, axis=axis) & _not_wrapped(background.shape, axis, -1)
+            later = (slice(None),) * axis + (slice(1, None),)
+            earlier = (slice(None),) * axis + (slice(None, -1),)
+            grown[later] |= background[earlier]
+            grown[earlier] |= background[later]
         grown &= candidate
-        grown |= background
         if np.array_equal(grown, background):
             break
         background = grown
     return Mask(~background)
-
-
-def _not_wrapped(shape, axis, shift):
-    ok = np.ones(shape, dtype=bool)
-    sl = [slice(None)] * 3
-    sl[axis] = 0 if shift == 1 else -1
-    ok[tuple(sl)] = False
-    return ok
 
 
 def apply_mask(volume, mask):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volsynth import autodiff as ad
-from volsynth import cvae
+from volsynth import cvae, nn
 from volsynth.autodiff import Tensor
 from volsynth.datasets import VolumeDataset, make_blob_dataset
 from volsynth.volumes import Volume
@@ -251,7 +251,7 @@ class TestCheckpoint:
         """Checkpoint names are read by name; old files must keep loading."""
         config = cvae.CVAEConfig(latent_dim=3, enc_channels=(3, 4), dec_channels=(4, 3))
         model = cvae.CVAE((8, 8, 8), 2, config, np.random.default_rng(0))
-        assert list(model.state_arrays()) == [
+        assert list(nn.state_arrays(model)) == [
             "enc.proj.weight", "enc.proj.bias", "enc.conv0.kernel", "enc.conv0.bias",
             "enc.conv1.kernel", "enc.conv1.bias", "enc.mu.weight", "enc.mu.bias",
             "enc.logvar.weight", "enc.logvar.bias",

@@ -469,8 +469,7 @@ class TestTraining:
         cfg = icwgan.GANConfig(z_dim=4, gen_channels=(8, 6), disc_channels=(6, 8),
                                batch_size=6, critic_iters=2, epochs=600, seed=3,
                                learning_rate=2e-3)
-        gen0 = icwgan.Generator(ds.dims, 1, cfg, np.random.default_rng(cfg.seed),
-                                dtype=np.float32)
+        gen0 = icwgan.Generator(ds.dims, 1, cfg, np.random.default_rng(cfg.seed))
         gen, disc, _ = icwgan.train_icwgan(ds, cfg)
 
         z = Tensor(np.random.default_rng(99).standard_normal((12, 4)).astype(np.float32))
@@ -532,8 +531,7 @@ class TestSampling:
         im2col buffers alive; the 400 output volumes themselves take 6.25 MB.
         """
         cfg = nn.model_config(icwgan.GANConfig, harness.blob_fixture_profiles()["icwgan"])
-        gen = icwgan.Generator((16, 16, 16), 4, cfg, np.random.default_rng(0),
-                               dtype=np.float32)
+        gen = icwgan.Generator((16, 16, 16), 4, cfg, np.random.default_rng(0))
         tracemalloc.start()
         try:
             icwgan.sample_gan(gen, 0, 400, seed=1)

@@ -1,6 +1,7 @@
 """Volume I/O, normalization, masks, and noise."""
 
 import struct
+from collections import deque
 
 import numpy as np
 import pytest
@@ -127,6 +128,35 @@ class TestMasks:
         mask = vol.compute_mask([Volume(data)], strategy="background_border")
         assert mask.bits[2, 2, 2]
         assert mask.valid_count == 125
+
+    @settings(max_examples=300, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 7)] * 3), count=st.integers(1, 3),
+           zero_share=st.floats(0.2, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_background_border_is_a_breadth_first_fill(self, dims, count, zero_share, seed):
+        """Background is what a 6-connected walk from the border reaches through
+        voxels at or below 0 in every volume; everything else is valid."""
+        rng = np.random.default_rng(seed)
+        shape = (count,) + dims
+        stack = np.where(rng.uniform(size=shape) < zero_share, -rng.uniform(0.0, 1.0, shape),
+                         rng.uniform(0.1, 1.0, shape)).astype(np.float32)
+        mask = vol.compute_mask([Volume(v) for v in stack], strategy="background_border")
+
+        candidate = np.all(stack <= 0.0, axis=0)
+        queue = deque(idx for idx in np.ndindex(*dims) if candidate[idx]
+                      and any(i in (0, n - 1) for i, n in zip(idx, dims)))
+        reached = set(queue)
+        while queue:
+            idx = queue.popleft()
+            for axis in range(3):
+                for step in (-1, 1):
+                    nb = idx[:axis] + (idx[axis] + step,) + idx[axis + 1:]
+                    if 0 <= nb[axis] < dims[axis] and candidate[nb] and nb not in reached:
+                        reached.add(nb)
+                        queue.append(nb)
+        expected = np.ones(dims, dtype=bool)
+        for idx in reached:
+            expected[idx] = False
+        assert np.array_equal(mask.bits, expected)
 
     def test_constant_voxel_invalid_under_nonconstant(self, rng):
         vols = [Volume(rng.uniform(size=(3, 3, 3))) for _ in range(4)]

@@ -18,6 +18,9 @@ The command set (all on 8^3 blob data unless noted):
 - ``sample --class-index 1 -n 230 --seed 9`` from each generator checkpoint;
 - ``augment-eval`` over real, real_noise and real_synth x {gmm, cvae, icwgan}
   x {svm, dnn} (10 cells), then ``report`` over its runs;
+- each ``harness.GENERATORS`` kind fitted on the whole sweep dataset with the
+  sweep's model blocks, seed 0 and its nonconstant mask: 4 class-1 samples each
+  (the sweep's runs store only accuracies, which need not move with the models);
 - ``harness.blob_benchmark(3, ...)`` with reduced blocks, as JSON;
 - a 3-epoch blob-profile ICW-GAN at 16^3: state, log and 4 x 30 samples.
 
@@ -76,6 +79,7 @@ def run_command_set(out):
 
     from volsynth import cli, harness, icwgan, nn
     from volsynth.datasets import make_blob_dataset
+    from volsynth.volumes import compute_mask
 
     def write_json(name, obj):
         path = os.path.join(out, name)
@@ -114,6 +118,14 @@ def run_command_set(out):
     os.rename(j("runs", "report.csv"), j("runs", "report_augment_eval.csv"))
     os.rename(j("runs", "variance.csv"), j("runs", "variance_augment_eval.csv"))
     volsynth("report", "--runs", j("runs"))
+
+    dataset = harness.load_config_dataset(SWEEP["dataset"])
+    everything = np.arange(len(dataset))
+    for kind, generator in harness.GENERATORS.items():
+        model = generator.fit(dataset, everything, SWEEP["models"], 0,
+                              compute_mask(dataset.volumes))
+        np.save(j(f"harness_{kind}_samples.npy"),
+                np.stack([v.data for v in generator.sample(model, 1, 4, 0)]))
 
     profiles = harness.blob_fixture_profiles()
     profiles["cvae"].update(enc_channels=(3, 4), dec_channels=(4, 3), epochs=2)
