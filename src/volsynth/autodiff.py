@@ -11,7 +11,6 @@ deterministic; randomness lives with the callers.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class GraphError(ValueError):
@@ -375,15 +374,20 @@ def _embed_spatial(g, offsets, lengths):
 def _im2col(x_padded, ksize, stride):
     """Columns [N*P1*P2*P3, k1*k2*k3*C] gathered channels-last.
 
-    The inner (kw, C) block of each window is contiguous in the channels-last
-    copy, which keeps the gather memcpy-friendly.
+    In the channels-last copy each window row's (kw, C) block is one
+    contiguous run, so the gather copies whole runs: the copy is viewed as
+    items of kw*C values, one per (n, output cell, kd, kh). The items view
+    is bounds-checked against the copy's buffer.
     """
     xcl = np.ascontiguousarray(np.moveaxis(x_padded, 1, -1))
-    win = sliding_window_view(xcl, ksize, axis=(1, 2, 3))
-    win = win[:, ::stride, ::stride, ::stride]
-    pdims = win.shape[1:4]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
-    n = x_padded.shape[0]
+    n, c = xcl.shape[0], xcl.shape[-1]
+    kd, kh, kw = ksize
+    pdims = tuple((s - k) // stride + 1 for s, k in zip(xcl.shape[1:4], ksize))
+    run = np.dtype((np.void, kw * c * xcl.itemsize))
+    sn, sd, sh, sw, _ = xcl.strides
+    items = np.ndarray(buffer=xcl, dtype=run, shape=(n,) + pdims + (kd, kh),
+                       strides=(sn, sd * stride, sh * stride, sw * stride, sd, sh))
+    cols = np.ascontiguousarray(items).view(xcl.dtype)
     return cols.reshape(n * int(np.prod(pdims)), -1), pdims
 
 

@@ -94,20 +94,44 @@ def save_dataset(dataset, out_dir, prefix="vol"):
     return os.path.join(out_dir, "manifest.csv")
 
 
+class ManifestError(ValueError):
+    """A manifest record that cannot be loaded; the message names the file and line."""
+
+
 def load_dataset(manifest_path):
+    """Dataset from a manifest of ``path,class_index`` lines beside its classes.txt.
+
+    A malformed line, a non-integer or out-of-table index, or a volume whose
+    dims differ from the first volume's raises ManifestError; a missing volume
+    file raises FileNotFoundError.
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
     classes_path = os.path.join(base, "classes.txt")
     with open(classes_path) as fh:
         class_table = [line.rstrip("\n") for line in fh if line.strip()]
     volumes, labels = [], []
     with open(manifest_path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            path, idx = line.rsplit(",", 1)
-            volumes.append(read_volume(os.path.join(base, path)))
-            labels.append(int(idx))
+            where = f"{manifest_path}, line {number}"
+            path, comma, idx = line.rpartition(",")
+            if not comma or not path:
+                raise ManifestError(f"{where}: expected 'path,class_index', got {line!r}")
+            try:
+                label = int(idx)
+            except ValueError:
+                raise ManifestError(f"{where}: class index {idx!r} is not an integer") from None
+            if not 0 <= label < len(class_table):
+                raise ManifestError(f"{where}: class index {label} is outside the "
+                                    f"{len(class_table)} classes of {classes_path}")
+            volume = read_volume(os.path.join(base, path))
+            if volumes and volume.dims != volumes[0].dims:
+                raise ManifestError(f"{where}: volume {path} has dims {volume.dims}, "
+                                    f"the first volume {volumes[0].dims}")
+            volumes.append(volume)
+            labels.append(label)
     return VolumeDataset(volumes, labels, class_table)
 
 

@@ -79,12 +79,15 @@ class Discriminator(nn.Module):
         self.cast(config.dtype)
 
     def forward(self, x, y):
-        score, _ = self._forward_parts(x, y)
+        score, _ = self._forward_parts(x, self._label_terms(y))
         return score
 
-    def _forward_parts(self, x, y):
+    def _label_terms(self, y):
+        return self.tower.label_terms(nn.label_tensor(y, self.num_classes))
+
+    def _forward_parts(self, x, terms):
         x = x if isinstance(x, Tensor) else Tensor(x)
-        flat, pres = self.tower.forward(x, nn.label_tensor(y, self.num_classes))
+        flat, pres = self.tower.forward(x, terms)
         return self.head(flat), pres
 
     def score_and_input_grad(self, x, y):
@@ -96,9 +99,27 @@ class Discriminator(nn.Module):
         differentiate through it.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
-        score, pres = self._forward_parts(x, y)
-        n = x.data.shape[0]
-        ones = Tensor(np.ones((n, 1), dtype=x.data.dtype))
+        score, pres = self._forward_parts(x, self._label_terms(y))
+        return score, self._input_grad(x, pres)
+
+    def critic_scores(self, fake, real, y, eps):
+        """The critic objective's three passes: fake scores, real scores, and
+        the input gradient at xhat = interpolate(real, fake, eps).
+
+        The xhat pass reads only pre-activation values (for the slope masks),
+        so it adds the fake pass's label terms as constants instead of
+        building its own.
+        """
+        terms = self._label_terms(y)
+        fake_score, _ = self._forward_parts(fake, terms)
+        real_score, _ = self._forward_parts(real, self._label_terms(y))
+        x_hat = interpolate(real, fake, eps)
+        _, pres = self._forward_parts(x_hat, [t.detach() for t in terms])
+        return fake_score, real_score, self._input_grad(x_hat, pres)
+
+    def _input_grad(self, x, pres):
+        """The score's gradient w.r.t. x, swept back through the slope masks of ``pres``."""
+        ones = Tensor(np.ones((x.data.shape[0], 1), dtype=x.data.dtype))
         delta = ad.dense(ones, ad.reshape(self.head.weight, (1, -1)))
         delta = ad.reshape(delta, pres[-1].data.shape)
         for i in reversed(range(len(pres))):
@@ -109,7 +130,7 @@ class Discriminator(nn.Module):
             delta = ad.conv3d_transpose(delta, self.tower.volume_kernel(i), None,
                                         stride=nn.STRIDE, pad=nn.PAD,
                                         output_dims=self.tower.sizes[i])
-        return score, delta
+        return delta
 
 
 def interpolate(x_real, x_fake, eps):
@@ -127,6 +148,10 @@ def interpolate(x_real, x_fake, eps):
 def gradient_penalty(disc, x_hat, y):
     """Mean of (||grad_xhat D(xhat|y)||_2 - 1)^2 over the batch."""
     _, grad = disc.score_and_input_grad(x_hat, y)
+    return _unit_norm_penalty(grad)
+
+
+def _unit_norm_penalty(grad):
     sq = ad.tsum(ad.mul(grad, grad), axis=(1, 2, 3, 4))
     norms = ad.tsqrt(sq)
     return ad.tmean(ad.power(norms - 1.0, 2.0))
@@ -135,9 +160,9 @@ def gradient_penalty(disc, x_hat, y):
 def critic_loss(disc, gen, x_real, y, z, eps, lambda_gp, training=True):
     """Critic objective on one batch; fake samples reuse the real labels."""
     fake = gen.forward(z, y, training=training).detach()
-    x_hat = interpolate(x_real, fake, eps)
-    loss = ad.tmean(disc.forward(fake, y)) - ad.tmean(disc.forward(x_real, y))
-    penalty = gradient_penalty(disc, x_hat, y)
+    fake_score, real_score, grad = disc.critic_scores(fake, x_real, y, eps)
+    loss = ad.tmean(fake_score) - ad.tmean(real_score)
+    penalty = _unit_norm_penalty(grad)
     return ad.add(loss, ad.mul(penalty, lambda_gp)), penalty
 
 

@@ -249,11 +249,12 @@ class ConvTower(Module):
 
     With ``num_classes`` > 0 every conv's input gains one channel: the label
     volume ``projections[i](y)`` at that layer's input size. A label volume
-    depends only on the one-hot row, so ``forward`` splits each conv into a
-    volume term over the input's channels and a label term convolved once per
-    class and gathered by row. ``forward`` returns the flattened last
-    activation and every layer's pre-activation; the critic's gradient-penalty
-    graph reads the latter.
+    depends only on the one-hot row, so each conv splits into a volume term
+    over the input's channels and a label term: ``label_terms(y)`` convolves
+    every layer's label channel once per class and gathers it by row, and
+    ``forward`` adds those terms to the volume terms. ``forward`` returns the
+    flattened last activation and every layer's pre-activation; the critic's
+    gradient-penalty graph reads the latter.
     """
 
     def __init__(self, dims, in_channels, channels, alpha, rng, name, num_classes=0):
@@ -285,12 +286,17 @@ class ConvTower(Module):
         rows = ad.dense(y, ad.reshape(per_class, (n, -1)))
         return ad.reshape(rows, (y.data.shape[0],) + per_class.data.shape[1:])
 
-    def forward(self, x, y=None):
+    def label_terms(self, y):
+        """Every layer's label term for the one-hot rows ``y``, as ``forward`` takes them."""
+        return [self._label_term(i, y) for i in range(len(self.projections))]
+
+    def forward(self, x, terms=None):
+        """``terms`` are ``label_terms(y)`` for a tower with classes, else None."""
         h, pres = x, []
         for i, conv in enumerate(self.convs):
             pre = ad.conv3d(h, self.volume_kernel(i), conv.bias, stride=STRIDE, pad=PAD)
             if self.projections:
-                pre = ad.add(pre, self._label_term(i, y))
+                pre = ad.add(pre, terms[i])
             pres.append(pre)
             h = ad.leaky_relu(pre, self.alpha)
         return ad.flatten(h), pres

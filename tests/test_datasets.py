@@ -1,12 +1,19 @@
 """Label encoding, manifests, class-size splits, stratified folds, blob fixture."""
 
+import re
+import string
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsynth import datasets as dsm
-from volsynth.datasets import (VolumeDataset, make_blob_dataset, one_hot,
+from volsynth.datasets import (ManifestError, VolumeDataset, make_blob_dataset, one_hot,
                                split_by_class_size, stratified_kfold)
-from volsynth.volumes import Volume
+from volsynth.volumes import Volume, write_volume
 
 
 def toy_dataset(counts, dims=(3, 3, 3), seed=0):
@@ -41,6 +48,78 @@ class TestManifest:
         assert np.array_equal(back.labels, ds.labels)
         for a, b in zip(back.volumes, ds.volumes):
             assert np.array_equal(a.data, b.data)
+
+
+def load_with_record(record, position, blank_lines, odd_volume=None):
+    """Load a saved 3-volume manifest with ``record`` inserted before line
+    ``position`` (blank lines first); returns the error, the manifest path and
+    the record's line number.
+
+    ``odd_volume``, if given, is written as ``odd.vvol`` beside the manifest.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(dsm.save_dataset(toy_dataset([2, 1], dims=(2, 2, 2)), tmp))
+        if odd_volume is not None:
+            write_volume(odd_volume, Path(tmp) / "odd.vvol")
+        lines = manifest.read_text().splitlines()
+        lines[position:position] = [""] * blank_lines + [record]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError) as err:
+            dsm.load_dataset(str(manifest))
+        return str(err.value), str(manifest), position + blank_lines + 1
+
+
+def names_line(message, manifest, line):
+    return manifest in message and re.search(rf"\bline {line}\b", message)
+
+
+NO_COMMA = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                 blacklist_characters=","), min_size=1).filter(str.strip)
+
+
+class TestManifestErrors:
+    """Each bad record raises ManifestError naming the manifest and its line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(NO_COMMA, st.integers(0, 1).map(lambda k: f",{k}")),
+           st.integers(0, 3), st.integers(0, 2))
+    def test_record_that_is_not_path_comma_index(self, record, position, blanks):
+        message, manifest, line = load_with_record(record, position, blanks)
+        assert names_line(message, manifest, line)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.floats().map(repr),
+                     st.text(string.ascii_letters + ". -", max_size=5)),
+           st.integers(0, 3), st.integers(0, 2))
+    def test_index_that_is_not_an_integer(self, index, position, blanks):
+        message, manifest, line = load_with_record(f"vol_00000.vvol,{index}", position,
+                                                   blanks)
+        assert names_line(message, manifest, line)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(max_value=-1), st.integers(min_value=2)),
+           st.integers(0, 3), st.integers(0, 2))
+    def test_index_outside_the_class_table(self, index, position, blanks):
+        message, manifest, line = load_with_record(f"vol_00000.vvol,{index}", position,
+                                                   blanks)
+        assert names_line(message, manifest, line)
+        assert "classes.txt" in message
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.tuples(*[st.integers(1, 3)] * 3).filter(lambda d: d != (2, 2, 2)),
+           st.integers(1, 3), st.integers(0, 2))
+    def test_volume_dims_that_differ_from_the_first(self, dims, position, blanks):
+        odd = Volume(np.zeros(dims, dtype=np.float32))
+        message, manifest, line = load_with_record("odd.vvol,0", position, blanks,
+                                                   odd_volume=odd)
+        assert names_line(message, manifest, line)
+        assert "odd.vvol" in message
+
+    def test_missing_volume_file_names_its_path(self, tmp_path):
+        manifest = Path(dsm.save_dataset(toy_dataset([1, 1]), tmp_path))
+        (tmp_path / "vol_00001.vvol").unlink()
+        with pytest.raises(FileNotFoundError, match="vol_00001.vvol"):
+            dsm.load_dataset(str(manifest))
 
 
 class TestSplitByClassSize:

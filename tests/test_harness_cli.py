@@ -479,6 +479,32 @@ class TestCorruptCheckpoint:
         check()
 
 
+class TestCheckpointRoundTrip:
+    def test_save_load_returns_the_arrays_cast_and_the_extra_block(self, tmp_path):
+        path = tmp_path / "round.ckpt"
+        shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+        json_values = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                                st.text(max_size=6), st.lists(st.integers(), max_size=3))
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.dictionaries(st.text(min_size=1, max_size=8), shapes, max_size=4),
+               st.sampled_from(["float32", "float64"]),
+               st.none() | st.dictionaries(st.text(max_size=6), json_values, max_size=3),
+               st.integers(0, 2 ** 32 - 1))
+        def check(specs, precision, extra, seed):
+            rng = np.random.default_rng(seed)
+            arrays = {name: rng.normal(size=shape) for name, shape in specs.items()}
+            nn.save_checkpoint(path, arrays, precision=precision, extra=extra)
+            back, back_extra = nn.load_checkpoint(path)
+            assert list(back) == list(arrays)
+            for name, arr in arrays.items():
+                assert back[name].shape == arr.shape and back[name].dtype == precision
+                assert back[name].tobytes() == arr.astype(precision).tobytes()
+            assert back_extra == (extra or None)
+
+        check()
+
+
 class TestSampleCLI:
     def test_gmm_checkpoint_sample_round_trip(self, tmp_path):
         data = tmp_path / "data"

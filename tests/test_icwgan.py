@@ -120,6 +120,10 @@ class ConcatCritic:
             delta = ad.narrow(delta, 1, 0, kernel.data.shape[1] - 1)
         return score, delta
 
+    def critic_scores(self, fake, real, y, eps):
+        _, grad = self.score_and_input_grad(icwgan.interpolate(real, fake, eps), y)
+        return self.forward(fake, y), self.forward(real, y), grad
+
 
 class FixedGenerator:
     """Duck-typed generator whose samples are fixed volumes."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from volsynth import autodiff as ad
 from volsynth.autodiff import Tensor
@@ -155,6 +156,35 @@ def test_conv3d_and_transpose_are_adjoint(case):
     g_lhs, g_rhs = ad.backward(lhs, leaves), ad.backward(rhs, leaves)
     for name in leaves:
         np.testing.assert_allclose(g_lhs[name], g_rhs[name], rtol=1e-9, atol=1e-9)
+
+
+def window_view_im2col(x_padded, ksize, stride):
+    """Reference gather: strided windows of the channels-last copy, one copy."""
+    xcl = np.ascontiguousarray(np.moveaxis(x_padded, 1, -1))
+    win = sliding_window_view(xcl, ksize, axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+    pdims = win.shape[1:4]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
+    return cols.reshape(x_padded.shape[0] * int(np.prod(pdims)), -1), pdims
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 5),
+       st.tuples(*[st.integers(1, 4)] * 3), st.integers(1, 3),
+       st.tuples(*[st.integers(0, 6)] * 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_im2col_columns_equal_the_window_view_gather(dtype, n, c, ksize, stride, extra,
+                                                     sliced, seed):
+    rng = np.random.default_rng(seed)
+    dims = tuple(k + e for k, e in zip(ksize, extra))
+    if sliced:      # a non-contiguous view: channel, front, back and strided cuts
+        big = rng.normal(size=(n, c + 1, dims[0] + 1, dims[1] + 2, 2 * dims[2]))
+        x = big.astype(dtype)[:, 1:, 1:, :-2, ::2]
+    else:
+        x = rng.normal(size=(n, c) + dims).astype(dtype)
+    cols, pdims = ad._im2col(x, ksize, stride)
+    ref, ref_pdims = window_view_im2col(x, ksize, stride)
+    assert pdims == ref_pdims
+    assert cols.dtype == ref.dtype and cols.shape == ref.shape
+    assert cols.tobytes() == ref.tobytes()
 
 
 class TestBatchNorm:

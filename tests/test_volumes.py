@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from volsynth import volumes as vol
 from volsynth.volumes import Mask, Volume
@@ -20,6 +21,21 @@ class TestVVOLRoundTrip:
         back = vol.read_volume(path)
         assert back.dims == (2, 2, 2)
         assert np.array_equal(back.data, v.data)
+
+    def test_write_read_round_trip_is_the_float32_cast(self, tmp_path):
+        path = tmp_path / "v.vvol"
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.sampled_from([np.float32, np.float64]).flatmap(lambda dt: hnp.arrays(
+            dt, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False))))
+        def check(data):
+            vol.write_volume(Volume(data), path)
+            back = vol.read_volume(path)
+            assert back.dims == data.shape and back.data.dtype == np.float32
+            assert back.data.tobytes() == data.astype("<f4").tobytes()
+
+        check()
 
     def test_constant_half_round_trip(self, tmp_path):
         v = Volume(np.full((2, 2, 2), 0.5, dtype=np.float32))
