@@ -189,13 +189,16 @@ def cmd_augment_eval(args):
     configs = [_cell_config(base, *cell) for cell in _expand_cells(raw)]
     os.makedirs(out_dir, exist_ok=True)
     dataset = harness.load_config_dataset(base["dataset"])
-    runs = []
+    plans = []
     for config in configs:
-        regime, gen, classifier = config.regime, config.generator, config.classifier
-        print(f"running {regime} / {gen or '-'} / {classifier}", file=sys.stderr)
-        report = harness.run_regime(config, dataset=dataset, log=harness.log_stderr)
+        print(f"running {config.regime} / {config.generator or '-'} / {config.classifier}",
+              file=sys.stderr)
+        plans.append(harness.plan_units(config, dataset))
+    # the units of every cell share one set of worker interpreters
+    runs = []
+    for report in harness.run_plans(dataset, plans, log=harness.log_stderr):
         runs.append(report.to_dict())
-        name = f"run_{regime}_{gen or 'none'}_{classifier}.json"
+        name = f"run_{report.regime}_{report.generator or 'none'}_{report.classifier}.json"
         harness.write_run_json(report, os.path.join(out_dir, name))
     _write_tables(runs, out_dir)
     print(f"wrote {len(runs)} runs to {out_dir}")

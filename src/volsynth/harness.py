@@ -9,7 +9,11 @@ noisy volumes never reach validation or test.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
+import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -206,7 +210,9 @@ class GeneratorKind(NamedTuple):
 
 
 # entries look functions up through their modules at call time, so a caller
-# that replaces a module attribute (a tracer, a test) sees every call
+# that replaces a module attribute (a tracer, a test) sees every call made in
+# its own process: unit calls only when units run in-process (one usable CPU
+# or one unit), not those made in worker interpreters (``run_in_workers``)
 GENERATORS = {
     "gmm": GeneratorKind(
         fit=lambda dataset, idx, models, seed, mask: gmm_mod.fit_class_gmms(
@@ -352,13 +358,32 @@ def _train_and_eval_classifier(config, dataset, aug_train, val_idx, test_idx,
     return clf.evaluate(preds, test_ds.labels, num_classes)
 
 
-def run_regime(config, dataset=None, log=None):
-    """Execute all (fold, repeat) cells for one regime/classifier pair."""
-    if dataset is None:
-        dataset = load_config_dataset(config.dataset)
-    report = RunReport(regime=config.regime, generator=config.generator,
-                       classifier=config.classifier)
+class Unit(NamedTuple):
+    """One (fold, repeat) of a regime/classifier pair, split and seeded."""
+
+    config: ExperimentConfig
+    fold: int
+    repeat: int
+    train: list
+    val: list
+    test: list
+    seeds: list                 # generator, synthesis, noise, classifier
+    generator: tuple | None     # single_model's shared (kind, model); else fit per unit
+
+
+def plan_units(config, dataset):
+    """Every (fold, repeat) unit of one regime/classifier pair, in run order.
+
+    The folds' leak checks and single_model's shared generator fit happen
+    here, before any unit runs.
+    """
     cells = _cells_for_split(dataset, config.split, config.seed)
+    for fold, (train_idx, val_idx, test_idx) in enumerate(cells):
+        for a, b, what in ((train_idx, val_idx, "train/val"),
+                           (train_idx, test_idx, "train/test"),
+                           (val_idx, test_idx, "val/test")):
+            if set(a) & set(b):
+                raise LeakError(f"{what} overlap in fold {fold}")
     single_generator = None
     if config.single_model and config.regime == "real_synth":
         # paper-fidelity mode: one generator fit on the full dataset, reused
@@ -368,32 +393,185 @@ def run_regime(config, dataset=None, log=None):
         single_generator = _train_generator(config.generator, dataset,
                                             list(range(len(dataset))),
                                             config.models, seeds[0], mask_all)
-    for repeat in range(config.repeats):
-        for fold, (train_idx, val_idx, test_idx) in enumerate(cells):
-            t0 = time.time()
-            for a, b, what in ((train_idx, val_idx, "train/val"),
-                               (train_idx, test_idx, "train/test"),
-                               (val_idx, test_idx, "val/test")):
-                if set(a) & set(b):
-                    raise LeakError(f"{what} overlap in fold {fold}")
-            gen_seed, synth_seed, noise_seed, clf_seed = _phase_seeds(
-                config.seed, fold, repeat)
-            mask = compute_mask([dataset.volumes[i] for i in train_idx],
-                                strategy=config.mask_strategy)
-            trained_generator = single_generator
-            if config.regime == "real_synth" and trained_generator is None:
-                trained_generator = _train_generator(
-                    config.generator, dataset, train_idx, config.models, gen_seed, mask)
-            aug_train = _augment(config, dataset, train_idx, trained_generator,
-                                 synth_seed, noise_seed)
-            metrics = _train_and_eval_classifier(
-                config, dataset, aug_train, val_idx, test_idx, mask, clf_seed)
-            report.entries[(fold, repeat)] = metrics
-            report.timings[(fold, repeat)] = time.time() - t0
-            if log:
-                log(f"fold {fold} repeat {repeat}: accuracy {metrics.accuracy:.4f} "
-                    f"({report.timings[(fold, repeat)]:.1f}s)")
+    return [Unit(config, fold, repeat, *cell, _phase_seeds(config.seed, fold, repeat),
+                 single_generator)
+            for repeat in range(config.repeats) for fold, cell in enumerate(cells)]
+
+
+def run_unit(dataset, unit):
+    """(metrics, seconds) of one unit: mask, generator fit, augmentation,
+    classifier training and evaluation on the unit's test split."""
+    t0 = time.time()
+    config = unit.config
+    gen_seed, synth_seed, noise_seed, clf_seed = unit.seeds
+    mask = compute_mask([dataset.volumes[i] for i in unit.train],
+                        strategy=config.mask_strategy)
+    trained_generator = unit.generator
+    if config.regime == "real_synth" and trained_generator is None:
+        trained_generator = _train_generator(
+            config.generator, dataset, unit.train, config.models, gen_seed, mask)
+    aug_train = _augment(config, dataset, unit.train, trained_generator,
+                         synth_seed, noise_seed)
+    metrics = _train_and_eval_classifier(
+        config, dataset, aug_train, unit.val, unit.test, mask, clf_seed)
+    return metrics, time.time() - t0
+
+
+def run_plans(dataset, plans, log=None):
+    """A RunReport for each ``plan_units`` list, with every unit of every
+    plan on one set of worker interpreters (``run_in_workers``)."""
+    units = [unit for plan in plans for unit in plan]
+
+    def done(i, result):
+        if log:
+            u, (metrics, seconds) = units[i], result
+            log(f"{u.config.regime} / {u.config.generator or '-'} / {u.config.classifier} "
+                f"fold {u.fold} repeat {u.repeat}: accuracy {metrics.accuracy:.4f} "
+                f"({seconds:.1f}s)")
+
+    results = iter(run_in_workers(functools.partial(run_unit, dataset), units, done))
+    reports = []
+    for plan in plans:
+        config = plan[0].config
+        report = RunReport(regime=config.regime, generator=config.generator,
+                           classifier=config.classifier)
+        for unit in plan:
+            key = (unit.fold, unit.repeat)
+            report.entries[key], report.timings[key] = next(results)
+        reports.append(report)
+    return reports
+
+
+def run_regime(config, dataset=None, log=None):
+    """Execute all (fold, repeat) units for one regime/classifier pair."""
+    if dataset is None:
+        dataset = load_config_dataset(config.dataset)
+    [report] = run_plans(dataset, [plan_units(config, dataset)], log)
     return report
+
+
+# ---------------------------------------------------------------------------
+# worker interpreters
+# ---------------------------------------------------------------------------
+
+# a worker ignores SIGINT: an interrupt is the parent's to handle, and the
+# parent kills its workers on the way out
+_WORKER_MAIN = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+               "from volsynth.harness import serve_jobs; serve_jobs()")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an exception a worker interpreter raised;
+    the cause of that exception when ``run_in_workers`` raises it again."""
+
+
+def usable_cpus():
+    return len(os.sched_getaffinity(0))
+
+
+def run_in_workers(fn, items, done=None):
+    """``[fn(item) for item in items]``, on min(usable CPUs, items) worker
+    interpreters with one BLAS thread each, or in this process when that is 1.
+
+    ``fn`` and every item and result must pickle; ``fn`` goes to each worker
+    once. ``done(i, result)`` is called in item order as results arrive. An
+    exception raised by ``fn`` is raised here with its type and message.
+    Workers are child interpreters, not ``multiprocessing`` processes, so no
+    helper process (resource tracker, forkserver) starts; every worker is
+    waited for before this returns or raises, and killed first if it raises.
+    """
+    items = list(items)
+    out = []
+    n_workers = min(usable_cpus(), len(items))
+    if n_workers <= 1:
+        for i, item in enumerate(items):
+            out.append(fn(item))
+            if done:
+                done(i, out[i])
+        return out
+
+    import select
+    import subprocess
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    jobs = iter(enumerate(items))
+    busy, arrived, workers = {}, {}, []     # busy: result fd -> (worker, item index)
+    finished = False
+
+    def feed(worker):
+        """Send ``worker`` the next item, or close its job pipe when none is left."""
+        job = next(jobs, None)
+        if job is None:
+            worker.stdin.close()
+            return
+        busy[worker.stdout.fileno()] = worker, job[0]
+        pickle.dump(job[1], worker.stdin)
+        worker.stdin.flush()
+
+    try:
+        for _ in range(n_workers):
+            workers.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN],
+                                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                            env=env))
+        for worker in workers:
+            pickle.dump(fn, worker.stdin)
+            feed(worker)
+        while busy:
+            ready, _, _ = select.select(list(busy), [], [])
+            for fd in ready:
+                worker, i = busy.pop(fd)
+                try:
+                    ok, value = pickle.load(worker.stdout)
+                except EOFError:
+                    raise RuntimeError(f"worker {worker.pid} exited with code "
+                                       f"{worker.wait()} before returning a result") from None
+                if not ok:
+                    exc, tb = value
+                    raise exc from WorkerTraceback(tb)
+                arrived[i] = value
+                while len(out) in arrived:
+                    out.append(arrived.pop(len(out)))
+                    if done:
+                        done(len(out) - 1, out[-1])
+                feed(worker)
+        finished = True
+    finally:
+        for worker in workers:
+            if not finished:
+                worker.kill()
+            for pipe in (worker.stdin, worker.stdout):
+                with contextlib.suppress(OSError):
+                    pipe.close()
+            worker.wait()
+    return out
+
+
+def serve_jobs():
+    """A worker's loop: read ``fn``, then answer each pickled item on stdin
+    with ``(True, fn(item))`` or ``(False, (exception, traceback text))`` on
+    stdout, until stdin closes."""
+    import traceback
+
+    # results get the original stdout; prints (fd 1) go to stderr
+    results = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    jobs = sys.stdin.buffer
+    fn = pickle.load(jobs)
+    while True:
+        try:
+            item = pickle.load(jobs)
+        except EOFError:
+            return
+        try:
+            reply = True, fn(item)
+        except Exception as exc:
+            reply = False, (exc, "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__)))
+        pickle.dump(reply, results)
+        results.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ def rng():
 
 @pytest.fixture(scope="session")
 def blob_bench_results():
-    """The 3-seed desk-scale benchmark; shared so it runs once per session."""
-    return [harness.blob_benchmark(seed, log=harness.log_stderr) for seed in (0, 1, 2)]
+    """The 3-seed desk-scale benchmark, its seeds on worker interpreters;
+    shared so it runs once per session."""
+    return harness.run_in_workers(
+        functools.partial(harness.blob_benchmark, log=harness.log_stderr), (0, 1, 2))
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
     python3 tools/bench_compare.py --against <rev> --out BENCH.json
 
-Run from the repository root. ``<rev>`` is exported with ``git archive`` into a
-temporary directory (removed on exit); the working tree is the change. Each
+Run from the repository root. ``<rev>`` is resolved to its commit id, which the
+output records as ``against``, and that commit is exported with ``git archive``
+into a temporary directory (removed on exit); the working tree is the change. Each
 tree runs its own ``perfbench/run.py``, unchanged, one process at a time and
 waited for. Each workload runs ``PAIRS`` pairs; pair i runs both trees at seed
 i + 1, and the tree that goes first alternates from pair to pair, so slow
@@ -69,6 +70,15 @@ def parse_stderr(text):
         elif line.startswith("check failed: "):
             fails.append(line[len("check failed: "):])
     return env, scores, fails
+
+
+def resolve_commit(rev):
+    """The commit id ``rev`` names; exits with an error when it names none."""
+    proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
+                           f"{rev}^{{commit}}"], capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: {rev!r} names no commit")
+    return proc.stdout.strip()
 
 
 def benchmark_spec():
@@ -168,6 +178,7 @@ def main(argv=None):
     p.add_argument("--against", required=True, help="git revision of the base")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
+    args.against = resolve_commit(args.against)
 
     spec = workloads, seconds, metrics = benchmark_spec()
     runs = []
