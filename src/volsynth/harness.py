@@ -454,10 +454,20 @@ def run_regime(config, dataset=None, log=None):
 # worker interpreters
 # ---------------------------------------------------------------------------
 
-# a worker ignores SIGINT: an interrupt is the parent's to handle, and the
-# parent kills its workers on the way out
-_WORKER_MAIN = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-               "from volsynth.harness import serve_jobs; serve_jobs()")
+# A worker gets SIGKILL when the thread that started it ends
+# (prctl(PR_SET_PDEATHSIG)), so it dies with a parent that is killed outright;
+# if that parent (argv[1]) is already gone, it exits. It ignores SIGINT: an
+# interrupt is the parent's to handle, and the parent kills its workers on
+# the way out.
+_WORKER_MAIN = """\
+import ctypes, os, signal, sys
+ctypes.CDLL(None).prctl(1, signal.SIGKILL)
+if os.getppid() != int(sys.argv[1]):
+    sys.exit(1)
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+from volsynth.harness import serve_jobs
+serve_jobs()
+"""
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -480,6 +490,7 @@ def run_in_workers(fn, items, done=None):
     Workers are child interpreters, not ``multiprocessing`` processes, so no
     helper process (resource tracker, forkserver) starts; every worker is
     waited for before this returns or raises, and killed first if it raises.
+    A worker also dies when the thread that called this ends, even by SIGKILL.
     """
     items = list(items)
     out = []
@@ -513,7 +524,8 @@ def run_in_workers(fn, items, done=None):
 
     try:
         for _ in range(n_workers):
-            workers.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN],
+            workers.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN,
+                                             str(os.getpid())],
                                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                             env=env))
         for worker in workers:

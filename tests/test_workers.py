@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,10 +124,11 @@ def test_no_worker_outlives_a_unit_that_raises(tmp_path, pooled, capsys):
     assert child_pids() == before
 
 
-def test_no_process_outlives_an_interrupted_run(tmp_path):
-    """SIGINT to the CLI's process group, as ^C sends it, once every worker
-    has returned a unit (so it has installed its SIGINT handling) and started on
-    the DNN units, which would not end for hours."""
+@contextlib.contextmanager
+def cli_running_units(tmp_path):
+    """The CLI in a new session, once every worker has returned a unit (so it
+    has installed its signal handling) and started on the DNN units, which
+    would not end for hours. Whatever is left of the session is killed after."""
     cfg = sweep_config(tmp_path, regime="real", classifier=["svm", "dnn"],
                        models=dict(TINY, dnn={"channels": [3, 4], "epochs": 10 ** 6,
                                               "batch_size": 6}))
@@ -141,13 +143,51 @@ def test_no_process_outlives_an_interrupted_run(tmp_path):
         assert lines[4].startswith("real / - / svm fold 2 repeat 0: accuracy")
         workers = min(harness.usable_cpus(), 6) if harness.usable_cpus() > 1 else 0
         assert len(child_pids(proc.pid)) == workers
-        os.killpg(proc.pid, signal.SIGINT)
-        assert proc.wait(timeout=60) != 0
-        assert "KeyboardInterrupt" in proc.stderr.read()
-        assert session_pids(proc.pid) == set()
+        yield proc
     finally:
         if proc.poll() is None or session_pids(proc.pid):
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         proc.stderr.close()
+
+
+def test_no_process_outlives_an_interrupted_run(tmp_path):
+    """SIGINT to the CLI's process group, as ^C sends it."""
+    with cli_running_units(tmp_path) as proc:
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=60) != 0
+        assert "KeyboardInterrupt" in proc.stderr.read()
+        assert session_pids(proc.pid) == set()
+
+
+def test_no_worker_outlives_a_killed_run(tmp_path):
+    """SIGKILL to the CLI alone skips its ``finally``; its workers must die too."""
+    with cli_running_units(tmp_path) as proc:
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        deadline = time.monotonic() + 30
+        while session_pids(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session_pids(proc.pid) == set()
+
+
+def test_single_model_units_reuse_each_cells_one_fit(tmp_path, monkeypatch):
+    """In-process, so the counting patch sees every fit that ``run_unit`` makes:
+    one per cell, made while planning, and none for the cell's 3 folds."""
+    calls = []
+    original = harness._train_generator
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "_train_generator", counting)
+    cfg = sweep_config(tmp_path, regime="real_synth", classifier="svm", single_model=True)
+    out = tmp_path / "r"
+    assert cli_main(["augment-eval", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == ["gmm", "cvae"]
+    for kind in ("gmm", "cvae"):
+        run = json.loads((out / f"run_real_synth_{kind}_svm.json").read_text())
+        assert len(run["entries"]) == 3
