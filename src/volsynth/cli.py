@@ -22,7 +22,7 @@ from . import harness
 from . import icwgan as gan_mod
 from . import nn
 from .datasets import VolumeDataset, load_dataset, make_blob_dataset, save_dataset
-from .volumes import Volume, apply_mask, compute_mask, write_volume
+from .volumes import Volume, compute_mask, write_volume
 
 
 def _dims(text):
@@ -121,20 +121,19 @@ def cmd_sample(args):
 
 def cmd_train_clf(args):
     dataset = load_dataset(args.manifest)
+    block = _load_json(args.config) if args.config else {}
+    mask = None
+    if args.kind == "svm":
+        mask = compute_mask(dataset.volumes, strategy=args.mask_strategy)
+    model = harness.fit_classifier(args.kind, {args.kind: block}, dataset, mask, args.seed)
     if args.kind == "dnn":
-        config = _config_from_args(clf.DNNConfig, args)
-        model, _ = clf.train_dnn_classifier(dataset.stack(np.float32), dataset.labels,
-                                            config, num_classes=dataset.num_classes)
-        arrays = nn.state_arrays(model)
+        config = nn.model_config(clf.DNNConfig, block)
         extra = {"kind": "dnn_classifier", "dims": list(dataset.dims),
                  "num_classes": dataset.num_classes,
                  "channels": list(config.channels), "dtype": config.dtype}
-        nn.save_checkpoint(args.out, arrays, precision=config.dtype, extra=extra)
+        nn.save_checkpoint(args.out, nn.state_arrays(model), precision=config.dtype,
+                           extra=extra)
     else:
-        mask = compute_mask(dataset.volumes, strategy=args.mask_strategy)
-        features = np.asarray([apply_mask(v, mask) for v in dataset.volumes])
-        config = nn.model_config(clf.SVMConfig, _load_json(args.config) if args.config else {})
-        model = clf.train_svm(features, dataset.labels, config.reg_c, config.epochs, mask=mask)
         arrays = {"weights": model.weights, "biases": model.biases,
                   "mask": mask.bits.astype(np.float64)}
         extra = {"kind": "svm_classifier", "mask_dims": list(mask.dims),

@@ -16,7 +16,7 @@ import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,8 +26,8 @@ from . import cvae as cvae_mod
 from . import gmm as gmm_mod
 from . import icwgan as gan_mod
 from . import nn
-from .datasets import (NOISY, REAL, SYNTHETIC, load_dataset, make_blob_dataset,
-                       split_by_class_size, stratified_kfold)
+from .datasets import (NOISY, REAL, SYNTHETIC, VolumeDataset, load_dataset,
+                       make_blob_dataset, split_by_class_size, stratified_kfold)
 from .volumes import add_gaussian_noise, apply_mask, compute_mask
 
 REGIMES = ("real", "real_noise", "real_synth")
@@ -53,6 +53,22 @@ class LeakError(RuntimeError):
 # the config class each ``models`` block builds
 MODEL_CONFIGS = {"gmm": gmm_mod.EMConfig, "cvae": cvae_mod.CVAEConfig,
                  "icwgan": gan_mod.GANConfig, "svm": clf.SVMConfig, "dnn": clf.DNNConfig}
+
+# the fields besides ``kind`` that each kind of ``dataset`` and ``split`` block takes
+DATASET_FIELDS = {"manifest": {"path"}, "blob": {"num_classes", "per_class", "dims", "seed"}}
+SPLIT_FIELDS = {"ratio": set(), "fixed": {"train_per_class", "val_per_class", "test_per_class"},
+                "kfold": {"k", "min_class_size"}}
+
+
+def _check_block(name, block, kind_fields, default_kind=None):
+    """The block's kind, once the kind and every other field are known ones."""
+    kind = block.get("kind", default_kind)
+    if kind not in kind_fields:
+        raise ConfigError(f"unknown {name} kind {kind!r}; expected one of {tuple(kind_fields)}")
+    unknown = sorted(set(block) - kind_fields[kind] - {"kind"})
+    if unknown:
+        raise ConfigError(f"unknown {kind} {name} fields: {unknown}")
+    return kind
 
 
 @dataclass
@@ -101,6 +117,8 @@ class ExperimentConfig:
                 raise ConfigError(f"noise_per_class must be 0 for regime {self.regime!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        _check_block("dataset", self.dataset, DATASET_FIELDS)
+        _check_block("split", self.split, SPLIT_FIELDS, default_kind="kfold")
         for kind, block in self.models.items():
             if kind not in MODEL_CONFIGS:
                 raise ConfigError(
@@ -118,16 +136,13 @@ class ExperimentConfig:
 
 
 def load_config_dataset(spec):
-    kind = spec.get("kind")
-    if kind == "manifest":
+    if _check_block("dataset", spec, DATASET_FIELDS) == "manifest":
         return load_dataset(spec["path"])
-    if kind == "blob":
-        return make_blob_dataset(
-            num_classes=spec.get("num_classes", 4),
-            per_class=spec.get("per_class", 30),
-            dims=tuple(spec.get("dims", (16, 16, 16))),
-            seed=spec.get("seed", 0))
-    raise ConfigError(f"unknown dataset kind {kind!r} (expected 'manifest' or 'blob')")
+    return make_blob_dataset(
+        num_classes=spec.get("num_classes", 4),
+        per_class=spec.get("per_class", 30),
+        dims=tuple(spec.get("dims", (16, 16, 16))),
+        seed=spec.get("seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +151,7 @@ def load_config_dataset(spec):
 
 def _cells_for_split(dataset, split, rng_seed):
     """List of (train, val, test) index triples, one per fold."""
-    kind = split.get("kind", "kfold")
+    kind = _check_block("split", split, SPLIT_FIELDS, default_kind="kfold")
     if kind == "ratio":
         result = split_by_class_size(dataset, rng_seed)
         return [(result.train, result.validation, result.test)]
@@ -161,24 +176,22 @@ def _cells_for_split(dataset, split, rng_seed):
             val.extend(int(i) for i in order[n_train:n_train + n_val])
             test.extend(int(i) for i in order[n_train + n_val:n_train + n_val + n_test])
         return [(train, val, test)]
-    if kind == "kfold":
-        k = split.get("k", 3)
-        min_size = split.get("min_class_size", 30)
-        keep = [c for c in range(dataset.num_classes)
-                if dataset.class_indices(c).size >= max(min_size, k)]
-        kept_indices = [i for i in range(len(dataset)) if dataset.labels[i] in keep]
-        sub = dataset.subset(kept_indices)
-        folds = stratified_kfold(sub, k, rng_seed)
-        back = np.asarray(kept_indices)
-        cells = []
-        for f in range(k):
-            test = [int(back[i]) for i in folds[f]]
-            trainval_local = [i for g in range(k) if g != f for i in folds[g]]
-            rng = np.random.default_rng(rng_seed + f + 1)
-            train, val = _carve_validation(dataset, back, trainval_local, rng)
-            cells.append((train, val, test))
-        return cells
-    raise ConfigError(f"unknown split kind {kind!r}")
+    k = split.get("k", 3)
+    min_size = split.get("min_class_size", 30)
+    keep = [c for c in range(dataset.num_classes)
+            if dataset.class_indices(c).size >= max(min_size, k)]
+    kept_indices = [i for i in range(len(dataset)) if dataset.labels[i] in keep]
+    sub = dataset.subset(kept_indices)
+    folds = stratified_kfold(sub, k, rng_seed)
+    back = np.asarray(kept_indices)
+    cells = []
+    for f in range(k):
+        test = [int(back[i]) for i in folds[f]]
+        trainval_local = [i for g in range(k) if g != f for i in folds[g]]
+        rng = np.random.default_rng(rng_seed + f + 1)
+        train, val = _carve_validation(dataset, back, trainval_local, rng)
+        cells.append((train, val, test))
+    return cells
 
 
 def _carve_validation(dataset, back, trainval_local, rng):
@@ -245,7 +258,6 @@ class RunReport:
     generator: str | None
     classifier: str
     entries: dict = field(default_factory=dict)     # (fold, repeat) -> MetricsReport
-    timings: dict = field(default_factory=dict)     # phase -> seconds (not serialized)
 
     def aggregate(self):
         return aggregate(self.entries)
@@ -301,22 +313,21 @@ def _phase_seeds(base_seed, fold, repeat):
 
 
 def _train_generator(kind, dataset, train_idx, cfg_models, seed, mask):
-    """(kind, model) trained on ``train_idx`` only."""
-    return kind, GENERATORS[kind].fit(dataset, train_idx, cfg_models, seed, mask)
+    """A ``kind`` generator trained on ``train_idx`` only."""
+    return GENERATORS[kind].fit(dataset, train_idx, cfg_models, seed, mask)
 
 
-def _augment(config, dataset, train_idx, trained_generator, synth_seed, noise_seed):
+def _augment(config, dataset, train_idx, generator, synth_seed, noise_seed):
     """Training dataset plus synthetic or noisy volumes (train split only)."""
     train_ds = dataset.subset(train_idx)
     if config.regime == "real":
         return train_ds
     classes_present = sorted(set(int(c) for c in train_ds.labels))
     if config.regime == "real_synth":
-        kind, model = trained_generator
         volumes, labels = [], []
         for i, c in enumerate(classes_present):
-            volumes.extend(GENERATORS[kind].sample(model, c, config.synth_per_class,
-                                                   synth_seed + i))
+            volumes.extend(GENERATORS[config.generator].sample(
+                generator, c, config.synth_per_class, synth_seed + i))
             labels.extend([c] * config.synth_per_class)
         return train_ds.extended(volumes, labels, SYNTHETIC)
     rng = np.random.default_rng(noise_seed)
@@ -332,30 +343,41 @@ def _augment(config, dataset, train_idx, trained_generator, synth_seed, noise_se
     return train_ds.extended(volumes, labels, NOISY)
 
 
+def fit_classifier(kind, models, train, mask, seed, val=None):
+    """A ``kind`` classifier fit on ``train`` from its ``models`` block.
+
+    The SVM learns from the voxels under ``mask`` and keeps that mask; the DNN
+    keeps its best epoch on ``val`` when that is given, else its last.
+    """
+    if kind == "svm":
+        cfg = nn.model_config(clf.SVMConfig, models.get("svm", {}))
+        features = np.asarray([apply_mask(v, mask) for v in train.volumes])
+        return clf.train_svm(features, train.labels, cfg.reg_c, cfg.epochs, mask=mask)
+    cfg = nn.model_config(clf.DNNConfig, models.get("dnn", {}), seed=seed)
+    model, _ = clf.train_dnn_classifier(
+        train.stack(np.float32), train.labels, cfg, num_classes=train.num_classes,
+        val_volumes=None if val is None else val.stack(np.float32),
+        val_labels=None if val is None else val.labels)
+    return model
+
+
+def apply_classifier(model, dataset):
+    """A fitted classifier's class predictions for ``dataset``'s volumes."""
+    if isinstance(model, clf.LinearSVMModel):
+        return model.predict(np.asarray([apply_mask(v, model.mask) for v in dataset.volumes]))
+    return model.predict(dataset.stack(np.float32))
+
+
 def _train_and_eval_classifier(config, dataset, aug_train, val_idx, test_idx,
                                mask, clf_seed):
-    num_classes = dataset.num_classes
     test_ds = dataset.subset(test_idx)
     if any(p != REAL for p in test_ds.provenance):
         raise LeakError("synthetic data leaked into test")
     if any(dataset.provenance[i] != REAL for i in val_idx):
         raise LeakError("synthetic data leaked into validation")
-    if config.classifier == "svm":
-        svm_cfg = nn.model_config(clf.SVMConfig, config.models.get("svm", {}))
-        features = np.asarray([apply_mask(v, mask) for v in aug_train.volumes])
-        model = clf.train_svm(features, aug_train.labels, svm_cfg.reg_c, svm_cfg.epochs,
-                              mask=mask)
-        test_features = np.asarray([apply_mask(v, mask) for v in test_ds.volumes])
-        preds = model.predict(test_features)
-    else:
-        dnn_cfg = nn.model_config(clf.DNNConfig, config.models.get("dnn", {}), seed=clf_seed)
-        val_volumes = dataset.subset(val_idx).stack(np.float32) if val_idx else None
-        val_labels = dataset.labels[list(val_idx)] if val_idx else None
-        model, _ = clf.train_dnn_classifier(
-            aug_train.stack(np.float32), aug_train.labels, dnn_cfg,
-            num_classes=num_classes, val_volumes=val_volumes, val_labels=val_labels)
-        preds = model.predict(test_ds.stack(np.float32))
-    return clf.evaluate(preds, test_ds.labels, num_classes)
+    model = fit_classifier(config.classifier, config.models, aug_train, mask, clf_seed,
+                           dataset.subset(val_idx) if val_idx else None)
+    return clf.evaluate(apply_classifier(model, test_ds), test_ds.labels, dataset.num_classes)
 
 
 class Unit(NamedTuple):
@@ -368,7 +390,7 @@ class Unit(NamedTuple):
     val: list
     test: list
     seeds: list                 # generator, synthesis, noise, classifier
-    generator: tuple | None     # single_model's shared (kind, model); else fit per unit
+    generator: object | None    # single_model's shared model; else fit per unit
 
 
 def plan_units(config, dataset):
@@ -406,12 +428,11 @@ def run_unit(dataset, unit):
     gen_seed, synth_seed, noise_seed, clf_seed = unit.seeds
     mask = compute_mask([dataset.volumes[i] for i in unit.train],
                         strategy=config.mask_strategy)
-    trained_generator = unit.generator
-    if config.regime == "real_synth" and trained_generator is None:
-        trained_generator = _train_generator(
+    generator = unit.generator
+    if config.regime == "real_synth" and generator is None:
+        generator = _train_generator(
             config.generator, dataset, unit.train, config.models, gen_seed, mask)
-    aug_train = _augment(config, dataset, unit.train, trained_generator,
-                         synth_seed, noise_seed)
+    aug_train = _augment(config, dataset, unit.train, generator, synth_seed, noise_seed)
     metrics = _train_and_eval_classifier(
         config, dataset, aug_train, unit.val, unit.test, mask, clf_seed)
     return metrics, time.time() - t0
@@ -436,8 +457,7 @@ def run_plans(dataset, plans, log=None):
         report = RunReport(regime=config.regime, generator=config.generator,
                            classifier=config.classifier)
         for unit in plan:
-            key = (unit.fold, unit.repeat)
-            report.entries[key], report.timings[key] = next(results)
+            report.entries[(unit.fold, unit.repeat)] = next(results)[0]
         reports.append(report)
     return reports
 
@@ -627,10 +647,6 @@ def rows_from_stored(runs, which="mean"):
 # the desk-scale blob benchmark (fixed split, one seed per call)
 # ---------------------------------------------------------------------------
 
-BLOB_BENCH_DEFAULTS = dict(num_classes=4, dims=(16, 16, 16),
-                           train_per_class=30, test_per_class=100)
-
-
 def blob_fixture_profiles():
     """Model hyperparameter blocks sized for the 16^3 blob benchmark."""
     return {
@@ -653,73 +669,55 @@ def blob_fixture_profiles():
     }
 
 
-def blob_benchmark(seed, profiles=None, log=None, **overrides):
+def blob_benchmark(seed, profiles=None, log=None, num_classes=4, dims=(16, 16, 16),
+                   train_per_class=30, test_per_class=100):
     """One seed of the desk-scale augmentation benchmark.
 
-    Returns real / GMM-augmented DNN accuracies, CVAE and ICW-GAN oracle
-    label-consistency, and the oracle's own real-test accuracy.
+    Returns real / GMM-augmented DNN accuracies (two sweep units on a fixed
+    split), CVAE and ICW-GAN oracle label-consistency, and the oracle's own
+    real-test accuracy.
     """
-    params = dict(BLOB_BENCH_DEFAULTS)
-    params.update(overrides)
-    profiles = profiles or blob_fixture_profiles()
-    per_class = params["train_per_class"] + params["test_per_class"]
-    dataset = make_blob_dataset(params["num_classes"], per_class, params["dims"],
-                                seed=seed)
-    [(train_idx, _, test_idx)] = _cells_for_split(
-        dataset, {"kind": "fixed", "train_per_class": params["train_per_class"],
-                  "test_per_class": params["test_per_class"]}, seed)
-    train_ds = dataset.subset(train_idx)
-    test_ds = dataset.subset(test_idx)
-    mask = compute_mask(train_ds.volumes, strategy="nonconstant")
+    models = profiles or blob_fixture_profiles()
+    real = ExperimentConfig(
+        dataset={"kind": "blob", "num_classes": num_classes,
+                 "per_class": train_per_class + test_per_class, "dims": dims, "seed": seed},
+        split={"kind": "fixed", "train_per_class": train_per_class,
+               "test_per_class": test_per_class},
+        seed=seed, models=models)
+    synth = replace(real, regime="real_synth", generator="gmm",
+                    synth_per_class=train_per_class)
+    dataset = load_config_dataset(real.dataset)
+    [cell] = _cells_for_split(dataset, real.split, seed)
     results = {"seed": seed}
-
-    def say(msg):
-        if log:
-            log(msg)
-
-    dnn_cfg = clf.DNNConfig(seed=seed, **profiles["dnn"])
-
-    def dnn_accuracy(train):
-        model, _ = clf.train_dnn_classifier(train.stack(np.float32), train.labels,
-                                            dnn_cfg, num_classes=dataset.num_classes)
-        return float((model.predict(test_ds.stack(np.float32)) == test_ds.labels).mean())
-
-    t0 = time.time()
-    results["real_accuracy"] = dnn_accuracy(train_ds)
-    say(f"[seed {seed}] DNN real accuracy {results['real_accuracy']:.4f} "
-        f"({time.time() - t0:.0f}s)")
-
-    t0 = time.time()
-    gmodel = GENERATORS["gmm"].fit(dataset, train_idx, profiles, seed, mask)
-    volumes, labels = [], []
-    for c in range(dataset.num_classes):
-        volumes.extend(gmodel.sample_volumes(c, params["train_per_class"], seed + 101 + c))
-        labels.extend([c] * params["train_per_class"])
-    results["gmm_aug_accuracy"] = dnn_accuracy(train_ds.extended(volumes, labels, SYNTHETIC))
-    say(f"[seed {seed}] DNN real+GMM accuracy {results['gmm_aug_accuracy']:.4f} "
-        f"({time.time() - t0:.0f}s)")
+    say = log or (lambda msg: None)
+    # generator, synthesis, noise and classifier seeds
+    seeds = [seed, seed + 101, 0, seed]
+    for config, key, what in ((real, "real_accuracy", "DNN real"),
+                              (synth, "gmm_aug_accuracy", "DNN real+GMM")):
+        metrics, seconds = run_unit(dataset, Unit(config, 0, 0, *cell, seeds, None))
+        results[key] = metrics.accuracy
+        say(f"[seed {seed}] {what} accuracy {metrics.accuracy:.4f} ({seconds:.0f}s)")
 
     # oracle: linear SVM on masked real training voxels
-    features = np.asarray([apply_mask(v, mask) for v in train_ds.volumes])
-    svm_cfg = nn.model_config(clf.SVMConfig, profiles["svm"])
-    oracle = clf.train_svm(features, train_ds.labels, svm_cfg.reg_c, svm_cfg.epochs,
-                           mask=mask)
-    test_features = np.asarray([apply_mask(v, mask) for v in test_ds.volumes])
+    train_idx, _, test_idx = cell
+    train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
+    mask = compute_mask(train_ds.volumes, strategy=real.mask_strategy)
+    oracle = fit_classifier("svm", models, train_ds, mask, seed)
     results["oracle_accuracy"] = float(
-        (oracle.predict(test_features) == test_ds.labels).mean())
+        (apply_classifier(oracle, test_ds) == test_ds.labels).mean())
     say(f"[seed {seed}] oracle SVM accuracy {results['oracle_accuracy']:.4f}")
 
     # share of 50 samples per class that the oracle labels as their class
     for kind, key, seed_offset in (("cvae", "cvae_consistency", 300),
                                    ("icwgan", "gan_consistency", 400)):
         t0 = time.time()
-        generator = GENERATORS[kind]
-        model = generator.fit(dataset, train_idx, profiles, seed, mask)
+        model = _train_generator(kind, dataset, train_idx, models, seed, mask)
         hits = 0
         for c in range(dataset.num_classes):
-            samples = generator.sample(model, c, 50, seed + seed_offset + c)
-            feats = np.asarray([apply_mask(v, mask) for v in samples])
-            hits += int((oracle.predict(feats) == c).sum())
+            samples = GENERATORS[kind].sample(model, c, 50, seed + seed_offset + c)
+            predictions = apply_classifier(oracle, VolumeDataset(samples, [c] * 50,
+                                                                 dataset.class_table))
+            hits += int((predictions == c).sum())
         results[key] = hits / (50 * dataset.num_classes)
         say(f"[seed {seed}] {GENERATOR_LABELS[kind]} consistency {results[key]:.4f} "
             f"({time.time() - t0:.0f}s)")

@@ -16,6 +16,7 @@ from volsynth import harness, nn
 from volsynth.cli import main as cli_main
 from volsynth.datasets import REAL, SYNTHETIC, make_blob_dataset
 from volsynth.harness import ExperimentConfig, aggregate
+from volsynth.volumes import apply_mask
 
 
 def small_config(**overrides):
@@ -239,6 +240,44 @@ class TestRunRegime:
             float(np.mean(accs)), abs=0)
 
 
+class TestBlobBenchmark:
+    def test_unknown_override_raises_type_error(self):
+        with pytest.raises(TypeError, match="train_per_clas"):
+            harness.blob_benchmark(0, train_per_clas=10)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_consistency_is_the_oracle_share_of_a_stub_generators_samples(
+            self, monkeypatch, shift):
+        """A stub generator whose class-c samples are the real training volumes
+        of class c + shift: the consistency must be the share that a linear SVM
+        on the same masked features gives class c."""
+        fitted = []
+
+        def fit(dataset, idx, models, seed, mask):
+            fitted.append(dataset.subset(idx))
+            return fitted[-1]
+
+        def sample(train, c, count, seed):
+            members = train.class_indices((c + shift) % train.num_classes)
+            return [train.volumes[i] for i in np.resize(members, count)]
+
+        stub = harness.GeneratorKind(fit=fit, sample=sample, load=None)
+        monkeypatch.setattr(harness, "GENERATORS", dict.fromkeys(harness.GENERATOR_KINDS, stub))
+        profiles = {"gmm": {}, "cvae": {}, "icwgan": {},
+                    "dnn": {"channels": (3, 4), "epochs": 1, "batch_size": 10},
+                    "svm": {"reg_c": 1.0, "epochs": 3}}
+        result = harness.blob_benchmark(5, profiles=profiles, num_classes=3, dims=(8, 8, 8),
+                                        train_per_class=8, test_per_class=4)
+
+        train = fitted[-1]
+        mask = harness.compute_mask(train.volumes, strategy="nonconstant")
+        features = lambda vols: np.asarray([apply_mask(v, mask) for v in vols])  # noqa: E731
+        oracle = clf.train_svm(features(train.volumes), train.labels, reg_c=1.0, epochs=3)
+        hits = sum(int((oracle.predict(features(sample(train, c, 50, 0))) == c).sum())
+                   for c in range(3))
+        assert result["cvae_consistency"] == result["gan_consistency"] == hits / 150
+
+
 class TestCLI:
     def run_cli(self, *argv):
         return cli_main(list(argv))
@@ -354,6 +393,22 @@ class TestCLI:
         assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
         assert message in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("change, message", [
+        ({"split": {"kind": "kfold", "folds": 5}}, "unknown kfold split fields: ['folds']"),
+        ({"split": {"kind": "fixed", "train_per_class": 2, "test_per_class": 2,
+                    "val_per_clas": 1}}, "unknown fixed split fields: ['val_per_clas']"),
+        ({"split": {"kind": "loo"}}, "unknown split kind 'loo'"),
+        ({"dataset": {"kind": "blob", "num_classes": 2, "per_class": 6, "per_clas": 99}},
+         "unknown blob dataset fields: ['per_clas']"),
+        ({"dataset": {"kind": "manifest", "path": "m.csv", "seed": 1}},
+         "unknown manifest dataset fields: ['seed']"),
+        ({"dataset": {"kind": "npy"}}, "unknown dataset kind 'npy'"),
+    ])
+    def test_augment_eval_rejects_unknown_split_and_dataset_fields(self, tmp_path, capsys,
+                                                                  change, message):
+        self.test_augment_eval_checks_every_cell_before_training(tmp_path, capsys,
+                                                                 change, message)
 
     @pytest.mark.parametrize("kind, block", [
         ("dnn", {"channels": [3, 4], "epochs": 2, "batch_size": 4}),

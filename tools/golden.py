@@ -21,7 +21,9 @@ The command set (all on 8^3 blob data unless noted):
 - each ``harness.GENERATORS`` kind fitted on the whole sweep dataset with the
   sweep's model blocks, seed 0 and its nonconstant mask: 4 class-1 samples each
   (the sweep's runs store only accuracies, which need not move with the models);
-- ``harness.blob_benchmark(3, ...)`` with reduced blocks, as JSON;
+- ``harness.blob_benchmark(3, ...)`` with reduced blocks, as JSON; its CVAE
+  and ICW-GAN train 50 epochs at rate 5e-3 in batches of 10, so that their
+  oracle consistencies leave chance and the check sees the consistency path;
 - a 3-epoch blob-profile ICW-GAN at 16^3: state, log and 4 x 30 samples.
 
 Differing outputs are listed. Those matching an ``--allow`` glob (matched
@@ -128,8 +130,10 @@ def run_command_set(out):
                 np.stack([v.data for v in generator.sample(model, 1, 4, 0)]))
 
     profiles = harness.blob_fixture_profiles()
-    profiles["cvae"].update(enc_channels=(3, 4), dec_channels=(4, 3), epochs=2)
-    profiles["icwgan"].update(gen_channels=(4, 3), disc_channels=(3, 4), epochs=2)
+    # 50 epochs at a high rate: both consistencies move off chance (0.25)
+    fast = dict(epochs=50, learning_rate=5e-3, batch_size=10)
+    profiles["cvae"].update(enc_channels=(3, 4), dec_channels=(4, 3), **fast)
+    profiles["icwgan"].update(gen_channels=(4, 3), disc_channels=(3, 4), **fast)
     profiles["dnn"].update(channels=(3, 4), epochs=2)
     profiles["svm"].update(epochs=50)
     write_json("blob_benchmark.json", harness.blob_benchmark(
