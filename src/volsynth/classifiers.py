@@ -51,6 +51,15 @@ def train_svm(features, labels, reg_c=SVMConfig.reg_c, epochs=SVMConfig.epochs, 
 
     The step decays as 1/(lambda * t); full-batch updates from a zero start
     make the run deterministic, so it draws no random numbers.
+
+    From the zero start every iterate lies in the span of the training rows,
+    w = beta.T @ x (Shalev-Shwartz et al. 2011, "Pegasos", section 4), so the
+    epochs update the dual coefficients ``beta`` [n, C] and read their margins
+    from the n x n Gram matrix, never from the [n, D] features. The Gram
+    matrix holds n * n floats against the features' n * D. Every caller trains
+    on masked voxel vectors, with fewer volumes than voxels, so there is no
+    switch to a primal loop for n > D: the result would be the same, only the
+    Gram matrix larger than the features.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=int)
@@ -60,22 +69,23 @@ def train_svm(features, labels, reg_c=SVMConfig.reg_c, epochs=SVMConfig.epochs, 
     if classes.size < 2:
         raise ValueError("SVM training needs at least two classes")
     num_classes = int(y.max()) + 1
-    n, f = x.shape
+    n = x.shape[0]
     lam = 1.0 / (reg_c * n)
     targets = np.where(one_hot(y, num_classes) > 0, 1.0, -1.0)   # [n, C]
 
-    w = np.zeros((num_classes, f))
+    gram = x @ x.T                                   # [n, n]
+    beta = np.zeros((n, num_classes))
     b = np.zeros(num_classes)
     for t in range(1, epochs + 1):
-        margins = targets * (x @ w.T + b)            # [n, C]
+        margins = targets * (gram @ beta + b)        # [n, C]
         viol = margins < 1.0
         coeff = np.where(viol, targets, 0.0)         # [n, C]
-        grad_w = lam * w - (coeff.T @ x) / n
-        grad_b = -coeff.mean(axis=0)
         eta = 1.0 / (lam * t)
-        w -= eta * grad_w
-        b -= eta * grad_b
-    return LinearSVMModel(weights=w, biases=b, reg_c=reg_c, mask=mask)
+        # w <- w - eta * (lam * w - coeff.T @ x / n), written on beta
+        beta *= 1.0 - eta * lam
+        beta += (eta / n) * coeff
+        b += eta * coeff.mean(axis=0)
+    return LinearSVMModel(weights=beta.T @ x, biases=b, reg_c=reg_c, mask=mask)
 
 
 # ---------------------------------------------------------------------------

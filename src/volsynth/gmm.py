@@ -147,22 +147,32 @@ class ClassGMM:
         out = _logsumexp(log_prob, axis=1).reshape(-1)
         return float(out[0]) if out.size == 1 else out
 
-    def sample_features(self, class_index, n, seed):
+    def _feature_chunks(self, class_index, n, seed):
+        """``n`` draws in nn.INFERENCE_CHUNK-row blocks, one generator for all.
+
+        The components are drawn first, then the normal noise block by block,
+        so the stream and the draws are those of one [n, D] draw.
+        """
         if n < 1:
             raise ValueError(f"sample count must be >= 1, got {n}")
         params = self._require(class_index)
         rng = np.random.default_rng(seed)
         comps = rng.choice(params.weights.size, size=n, p=params.weights)
-        draws = params.means[comps] + rng.standard_normal(
-            (n, params.means.shape[1])) * np.sqrt(params.variances[comps])
-        return draws
+        for start in range(0, n, nn.INFERENCE_CHUNK):
+            block = comps[start:start + nn.INFERENCE_CHUNK]
+            yield params.means[block] + rng.standard_normal(
+                (block.size, params.means.shape[1])) * np.sqrt(params.variances[block])
+
+    def sample_features(self, class_index, n, seed):
+        return np.concatenate(list(self._feature_chunks(class_index, n, seed)))
 
     def sample_volumes(self, class_index, n, seed):
         """Class-conditional volumes: draw features, scatter through the mask.
 
         Invalid voxels are zero; values clamp to [0,1] like noise augmentation.
         """
-        return [scatter_mask(f, self.mask) for f in self.sample_features(class_index, n, seed)]
+        return [scatter_mask(f, self.mask)
+                for chunk in self._feature_chunks(class_index, n, seed) for f in chunk]
 
 
 def fit_class_gmms(dataset, mask, config, indices=None):

@@ -71,6 +71,17 @@ def _check_block(name, block, kind_fields, default_kind=None):
     return kind
 
 
+def _check_split(split):
+    """A split block's known fields, a fixed split's required ones, and kfold's k."""
+    kind = _check_block("split", split, SPLIT_FIELDS, default_kind="kfold")
+    if kind == "fixed":
+        for key in ("train_per_class", "test_per_class"):
+            if key not in split:
+                raise ConfigError(f"fixed split requires {key!r}")
+    if kind == "kfold" and split.get("k", 3) < 2:
+        raise ConfigError(f"k must be >= 2, got {split['k']}")
+
+
 @dataclass
 class ExperimentConfig:
     dataset: dict
@@ -118,7 +129,7 @@ class ExperimentConfig:
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         _check_block("dataset", self.dataset, DATASET_FIELDS)
-        _check_block("split", self.split, SPLIT_FIELDS, default_kind="kfold")
+        _check_split(self.split)
         for kind, block in self.models.items():
             if kind not in MODEL_CONFIGS:
                 raise ConfigError(
@@ -150,16 +161,15 @@ def load_config_dataset(spec):
 # ---------------------------------------------------------------------------
 
 def _cells_for_split(dataset, split, rng_seed):
-    """List of (train, val, test) index triples, one per fold."""
-    kind = _check_block("split", split, SPLIT_FIELDS, default_kind="kfold")
+    """List of (train, val, test) index triples, one per fold.
+
+    ``split`` is an ExperimentConfig's, which ``_check_split`` has passed.
+    """
+    kind = split.get("kind", "kfold")
     if kind == "ratio":
         result = split_by_class_size(dataset, rng_seed)
         return [(result.train, result.validation, result.test)]
     if kind == "fixed":
-        need = ("train_per_class", "test_per_class")
-        for key in need:
-            if key not in split:
-                raise ConfigError(f"fixed split requires {key!r}")
         n_train = split["train_per_class"]
         n_val = split.get("val_per_class", 0)
         n_test = split["test_per_class"]

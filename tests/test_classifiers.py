@@ -4,13 +4,51 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsynth import classifiers as clf
-from volsynth.datasets import make_blob_dataset
+from volsynth.datasets import make_blob_dataset, one_hot
 from volsynth.volumes import Mask
 
 
+def primal_svm(x, y, reg_c, epochs):
+    """Reference: the subgradient loop on the [n, D] features and weights."""
+    n, f = x.shape
+    num_classes = int(y.max()) + 1
+    lam = 1.0 / (reg_c * n)
+    targets = np.where(one_hot(y, num_classes) > 0, 1.0, -1.0)
+    w = np.zeros((num_classes, f))
+    b = np.zeros(num_classes)
+    for t in range(1, epochs + 1):
+        margins = targets * (x @ w.T + b)
+        coeff = np.where(margins < 1.0, targets, 0.0)
+        grad_w = lam * w - (coeff.T @ x) / n
+        grad_b = -coeff.mean(axis=0)
+        eta = 1.0 / (lam * t)
+        w -= eta * grad_w
+        b -= eta * grad_b
+    return w, b
+
+
 class TestSVM:
+    # features come from a seeded normal, not arbitrary floats: a margin tied
+    # at exactly 1.0 would let the two forms' last bits take different branches
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 40), dim=st.integers(1, 60),
+           num_classes=st.integers(2, 4), epochs=st.integers(1, 80))
+    def test_gram_form_matches_primal_loop(self, seed, n, dim, num_classes, epochs):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, dim))
+        y = rng.permutation(np.arange(n) % num_classes)
+        held_out = rng.normal(size=(20, dim))
+        w, b = primal_svm(x, y, 1.0, epochs)
+        model = clf.train_svm(x, y, epochs=epochs)
+        assert np.allclose(model.weights, w, rtol=1e-9)
+        assert np.allclose(model.biases, b, rtol=1e-9)
+        assert np.array_equal(model.predict(held_out),
+                              np.argmax(held_out @ w.T + b, axis=1))
+
     def test_separable_clusters_reach_perfect_training_accuracy(self, rng):
         a = rng.normal(loc=(-2.0, 0.0), scale=0.3, size=(30, 2))
         b = rng.normal(loc=(2.0, 0.0), scale=0.3, size=(30, 2))

@@ -1,9 +1,12 @@
 """EM fitting, likelihood evaluation, and class-conditional sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from volsynth import gmm as gm
+from volsynth import nn
 from volsynth.gmm import ClassGMM, EMConfig, em_fit
 from volsynth.volumes import Mask
 
@@ -146,6 +149,39 @@ class TestSampling:
         a = model.sample_features(0, 10, seed=42)
         b = model.sample_features(0, 10, seed=42)
         assert np.array_equal(a, b)
+
+    def mixture_model(self, rng, dims):
+        mask = Mask(np.ones(dims, dtype=bool))
+        d = mask.valid_count
+        model = ClassGMM(mask, EMConfig(num_components=3))
+        model.per_class[0] = gm.MixtureParams(
+            weights=np.array([0.2, 0.5, 0.3]), means=rng.uniform(size=(3, d)),
+            variances=rng.uniform(0.001, 0.05, size=(3, d)), log_likelihoods=[])
+        return model
+
+    @pytest.mark.parametrize("n", [1, nn.INFERENCE_CHUNK - 1, nn.INFERENCE_CHUNK,
+                                   nn.INFERENCE_CHUNK + 1, 1000])
+    def test_chunked_draws_equal_one_shot_draw(self, rng, n):
+        model = self.mixture_model(rng, (6, 6, 6))
+        params = model.per_class[0]
+        ref_rng = np.random.default_rng(9)
+        comps = ref_rng.choice(3, size=n, p=params.weights)
+        reference = params.means[comps] + ref_rng.standard_normal(
+            (n, params.means.shape[1])) * np.sqrt(params.variances[comps])
+        assert np.array_equal(model.sample_features(0, n, seed=9), reference)
+        vols = model.sample_volumes(0, n, seed=9)
+        assert np.array_equal(np.stack([v.data.reshape(-1) for v in vols]),
+                              np.clip(reference, 0.0, 1.0))
+
+    def test_sampling_holds_one_chunk_of_features(self, rng):
+        model = self.mixture_model(rng, (16, 16, 16))
+        tracemalloc.start()
+        try:
+            vols = model.sample_volumes(0, 1000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(v.data.nbytes for v in vols)
 
 
 class TestCheckpoint:

@@ -410,6 +410,22 @@ class TestCLI:
         self.test_augment_eval_checks_every_cell_before_training(tmp_path, capsys,
                                                                  change, message)
 
+    @pytest.mark.parametrize("split, message", [
+        ({"kind": "fixed", "train_per_class": 3}, "fixed split requires 'test_per_class'"),
+        ({"kind": "kfold", "k": 0}, "k must be >= 2, got 0"),
+    ])
+    def test_augment_eval_rejects_incomplete_split_before_making_out(self, tmp_path, capsys,
+                                                                     split, message):
+        config = {"dataset": {"kind": "blob", "num_classes": 2, "per_class": 6,
+                              "dims": [8, 8, 8], "seed": 4},
+                  "classifier": "svm", "split": split, "repeats": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, block", [
         ("dnn", {"channels": [3, 4], "epochs": 2, "batch_size": 4}),
         ("svm", None),
