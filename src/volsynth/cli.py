@@ -22,7 +22,7 @@ from . import harness
 from . import icwgan as gan_mod
 from . import nn
 from .datasets import VolumeDataset, load_dataset, make_blob_dataset, save_dataset
-from .volumes import Volume, compute_mask, write_volume
+from .volumes import MASK_STRATEGIES, Volume, compute_mask, write_volume
 
 
 def _dims(text):
@@ -143,51 +143,34 @@ def cmd_train_clf(args):
     return 0
 
 
-def _expand_cells(raw):
-    """Cross-product of regimes, generators, and classifiers from one config."""
-    regimes = raw.get("regime", list(harness.REGIMES))
-    classifiers_ = raw.get("classifier", list(harness.CLASSIFIER_KINDS))
-    generators = raw.get("generator", list(harness.GENERATOR_KINDS))
-    if isinstance(regimes, str):
-        regimes = [regimes]
-    if isinstance(classifiers_, str):
-        classifiers_ = [classifiers_]
-    if isinstance(generators, str) or generators is None:
-        generators = [generators]
-    cells = []
-    for regime in regimes:
-        gens = generators if regime == "real_synth" else [None]
-        for gen in gens:
-            for c in classifiers_:
-                cells.append((regime, gen, c))
-    return cells
+def _cell_configs(raw, single_model):
+    """An ExperimentConfig per (regime, generator, classifier) cell of a sweep
+    document; each cell resets the regime fields that its regime does not use."""
+    def listed(key, default):
+        value = raw.get(key, default)
+        return [value] if value is None or isinstance(value, str) else value
 
-
-def _cell_config(base, regime, gen, classifier):
-    cell_cfg = dict(base)
-    cell_cfg["regime"] = regime
-    cell_cfg["classifier"] = classifier
-    if regime == "real_synth":
-        cell_cfg["generator"] = gen
-    else:
-        cell_cfg["synth_per_class"] = 0
-    if regime != "real_noise":
-        cell_cfg["noise_variance"] = 0
-        cell_cfg["noise_per_class"] = 0
-    return harness.ExperimentConfig.from_dict(cell_cfg)
+    raw = {**raw, "single_model": True} if single_model else raw
+    configs = []
+    for regime in listed("regime", harness.REGIMES):
+        unused = harness.unused_regime_fields(regime)
+        gens = [None] if "generator" in unused else listed("generator", harness.GENERATOR_KINDS)
+        for generator in gens:
+            for classifier in listed("classifier", harness.CLASSIFIER_KINDS):
+                configs.append(harness.ExperimentConfig.from_dict(
+                    {**raw, **unused, "regime": regime, "generator": generator,
+                     "classifier": classifier}))
+    return configs
 
 
 def cmd_augment_eval(args):
     raw = _load_json(args.config)
-    base = {k: v for k, v in raw.items() if k not in ("regime", "generator", "classifier")}
-    if args.single_model:
-        base["single_model"] = True
-    out_dir = args.out or base.pop("output_dir", None) or "runs"
-    base.pop("output_dir", None)
+    default_out = raw.pop("output_dir", None) or "runs"
+    out_dir = args.out or default_out
     # every cell's config and models block is checked before the first one trains
-    configs = [_cell_config(base, *cell) for cell in _expand_cells(raw)]
+    configs = _cell_configs(raw, args.single_model)
     os.makedirs(out_dir, exist_ok=True)
-    dataset = harness.load_config_dataset(base["dataset"])
+    dataset = harness.load_config_dataset(raw["dataset"])
     plans = []
     for config in configs:
         print(f"running {config.regime} / {config.generator or '-'} / {config.classifier}",
@@ -250,8 +233,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--components", type=int, default=1)
-    p.add_argument("--mask-strategy", default="nonconstant",
-                   choices=["nonconstant", "background_border"])
+    p.add_argument("--mask-strategy", default="nonconstant", choices=MASK_STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train_gmm)
 
@@ -282,8 +264,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=["dnn", "svm"], default="dnn")
     p.add_argument("--config", default=None, help="JSON block of DNN or SVM fields")
-    p.add_argument("--mask-strategy", default="nonconstant",
-                   choices=["nonconstant", "background_border"])
+    p.add_argument("--mask-strategy", default="nonconstant", choices=MASK_STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_clf)

@@ -151,8 +151,13 @@ LARGE_CLASS_MIN = 100
 SMALL_CLASS_MIN = 30
 
 
+def class_ratios(size):
+    """(train, validation, test) ratios of a class of ``size`` samples."""
+    return (7, 1, 2) if size >= LARGE_CLASS_MIN else (3, 1, 2)
+
+
 def split_by_class_size(dataset, seed):
-    """Per-class ratio split following the class-size rules.
+    """Per-class ratio split following the class-size rules (``class_ratios``).
 
     Classes with >= 100 samples split 7:1:2, classes with 30..99 split 3:1:2,
     classes under 30 samples are dropped. Test and validation counts round to
@@ -170,10 +175,7 @@ def split_by_class_size(dataset, seed):
         if n < SMALL_CLASS_MIN:
             result.dropped_classes.append(c)
             continue
-        if n >= LARGE_CLASS_MIN:
-            r_train, r_val, r_test = 7, 1, 2
-        else:
-            r_train, r_val, r_test = 3, 1, 2
+        r_train, r_val, r_test = class_ratios(n)
         total = r_train + r_val + r_test
         n_test = round(n * r_test / total)
         n_val = round(n * r_val / total)

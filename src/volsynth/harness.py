@@ -26,11 +26,16 @@ from . import cvae as cvae_mod
 from . import gmm as gmm_mod
 from . import icwgan as gan_mod
 from . import nn
-from .datasets import (NOISY, REAL, SYNTHETIC, VolumeDataset, load_dataset,
-                       make_blob_dataset, split_by_class_size, stratified_kfold)
-from .volumes import add_gaussian_noise, apply_mask, compute_mask
+from .datasets import (NOISY, REAL, SMALL_CLASS_MIN, SYNTHETIC, VolumeDataset, class_ratios,
+                       load_dataset, make_blob_dataset, split_by_class_size, stratified_kfold)
+from .volumes import MASK_STRATEGIES, add_gaussian_noise, apply_mask, compute_mask
 
-REGIMES = ("real", "real_noise", "real_synth")
+# the fields each regime uses, each with its unset value; a config sets its
+# regime's fields and leaves every other regime's fields unset
+REGIME_FIELDS = {"real": {},
+                 "real_noise": {"noise_per_class": 0, "noise_variance": 0},
+                 "real_synth": {"generator": None, "synth_per_class": 0}}
+REGIMES = tuple(REGIME_FIELDS)
 GENERATOR_KINDS = ("gmm", "cvae", "icwgan")
 CLASSIFIER_KINDS = ("svm", "dnn")
 
@@ -58,6 +63,12 @@ MODEL_CONFIGS = {"gmm": gmm_mod.EMConfig, "cvae": cvae_mod.CVAEConfig,
 DATASET_FIELDS = {"manifest": {"path"}, "blob": {"num_classes", "per_class", "dims", "seed"}}
 SPLIT_FIELDS = {"ratio": set(), "fixed": {"train_per_class", "val_per_class", "test_per_class"},
                 "kfold": {"k", "min_class_size"}}
+
+
+def unused_regime_fields(regime):
+    """{field: unset value} of every regime field that ``regime`` does not use."""
+    return {name: unset for used in REGIME_FIELDS.values() for name, unset in used.items()
+            if regime not in REGIMES or name not in REGIME_FIELDS[regime]}
 
 
 def _check_block(name, block, kind_fields, default_kind=None):
@@ -97,35 +108,21 @@ class ExperimentConfig:
     mask_strategy: str = "nonconstant"
     single_model: bool = False
     models: dict = field(default_factory=dict)
-    output_dir: str | None = None
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ConfigError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
-        if self.classifier not in CLASSIFIER_KINDS:
-            raise ConfigError(
-                f"unknown classifier {self.classifier!r}; expected one of {CLASSIFIER_KINDS}")
-        if self.regime == "real_synth":
-            if self.generator not in GENERATOR_KINDS:
-                raise ConfigError(
-                    f"real_synth requires a generator from {GENERATOR_KINDS}")
-            if self.synth_per_class <= 0:
-                raise ConfigError("real_synth requires synth_per_class > 0")
-        else:
-            if self.synth_per_class != 0:
-                raise ConfigError(f"synth_per_class must be 0 for regime {self.regime!r}")
-            if self.generator is not None:
-                raise ConfigError(f"generator must be absent for regime {self.regime!r}")
-        if self.regime == "real_noise":
-            if self.noise_variance <= 0:
-                raise ConfigError("real_noise requires noise_variance > 0")
-            if self.noise_per_class <= 0:
-                raise ConfigError("real_noise requires noise_per_class > 0")
-        else:
-            if self.noise_variance != 0:
-                raise ConfigError(f"noise_variance must be 0 for regime {self.regime!r}")
-            if self.noise_per_class != 0:
-                raise ConfigError(f"noise_per_class must be 0 for regime {self.regime!r}")
+        for name, known in (("regime", REGIMES), ("classifier", CLASSIFIER_KINDS),
+                            ("mask_strategy", MASK_STRATEGIES)):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}; "
+                                  f"expected one of {known}")
+        for name, unset in unused_regime_fields(self.regime).items():
+            if getattr(self, name) != unset:
+                raise ConfigError(f"{name} must be {unset!r} for regime {self.regime!r}")
+        for name in REGIME_FIELDS[self.regime]:
+            if name == "generator" and self.generator not in GENERATOR_KINDS:
+                raise ConfigError(f"{self.regime} requires a generator from {GENERATOR_KINDS}")
+            if name != "generator" and not getattr(self, name) > 0:
+                raise ConfigError(f"{self.regime} requires {name} > 0")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         _check_block("dataset", self.dataset, DATASET_FIELDS)
@@ -187,7 +184,7 @@ def _cells_for_split(dataset, split, rng_seed):
             test.extend(int(i) for i in order[n_train + n_val:n_train + n_val + n_test])
         return [(train, val, test)]
     k = split.get("k", 3)
-    min_size = split.get("min_class_size", 30)
+    min_size = split.get("min_class_size", SMALL_CLASS_MIN)
     keep = [c for c in range(dataset.num_classes)
             if dataset.class_indices(c).size >= max(min_size, k)]
     kept_indices = [i for i in range(len(dataset)) if dataset.labels[i] in keep]
@@ -205,15 +202,14 @@ def _cells_for_split(dataset, split, rng_seed):
 
 
 def _carve_validation(dataset, back, trainval_local, rng):
-    """Per-class validation share mirroring the ratio rules (1/8 large, 1/4 small)."""
+    """Per-class validation share of the class-size ratios: r_val / (r_train + r_val)."""
     trainval = np.asarray([int(back[i]) for i in trainval_local])
     train, val = [], []
     labels = dataset.labels[trainval]
     for c in np.unique(labels):
         members = trainval[labels == c]
-        n_total = dataset.class_indices(c).size
-        frac = 0.125 if n_total >= 100 else 0.25
-        n_val = int(round(members.size * frac))
+        r_train, r_val, _ = class_ratios(dataset.class_indices(c).size)
+        n_val = int(round(members.size * (r_val / (r_train + r_val))))
         order = rng.permutation(members)
         val.extend(int(i) for i in order[:n_val])
         train.extend(int(i) for i in order[n_val:])
@@ -458,7 +454,7 @@ def run_plans(dataset, plans, log=None):
             u, (metrics, seconds) = units[i], result
             log(f"{u.config.regime} / {u.config.generator or '-'} / {u.config.classifier} "
                 f"fold {u.fold} repeat {u.repeat}: accuracy {metrics.accuracy:.4f} "
-                f"({seconds:.1f}s)")
+                f"({seconds:.2f}s)")
 
     results = iter(run_in_workers(functools.partial(run_unit, dataset), units, done))
     reports = []

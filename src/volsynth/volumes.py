@@ -14,6 +14,8 @@ import numpy as np
 MAGIC = b"VVOL"
 VERSION = 1
 
+MASK_STRATEGIES = ("nonconstant", "background_border")
+
 
 class VolumeFormatError(ValueError):
     """Base class for malformed VVOL files."""
@@ -138,14 +140,14 @@ def compute_mask(train_volumes, strategy="nonconstant"):
     ``background_border``: flood fill inward from border voxels that stay at
     or below 0 in every volume; reached voxels are background.
     """
+    if strategy not in MASK_STRATEGIES:
+        raise ValueError(f"unknown mask strategy {strategy!r}; expected one of {MASK_STRATEGIES}")
     volumes = list(train_volumes)
     if not volumes:
         raise ValueError("compute_mask requires at least one training volume")
     stack = np.stack([v.data for v in volumes]).astype(np.float64)
     if strategy == "nonconstant":
         return Mask(stack.var(axis=0) > 0.0)
-    if strategy != "background_border":
-        raise ValueError(f"unknown mask strategy {strategy!r}")
     candidate = np.all(stack <= 0.0, axis=0)
     border = np.zeros_like(candidate)
     for axis in range(3):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volsynth import classifiers as clf
-from volsynth import harness, nn
+from volsynth import cli, harness, nn
 from volsynth.cli import main as cli_main
 from volsynth.datasets import REAL, SYNTHETIC, make_blob_dataset
 from volsynth.harness import ExperimentConfig, aggregate
@@ -58,6 +58,24 @@ class TestConfigValidation:
         config = small_config(regime="real_synth", generator="gmm", synth_per_class=4)
         assert config.generator == "gmm"
 
+    # a set value for every regime field
+    REGIME_FIELD_VALUES = {"generator": "gmm", "synth_per_class": 4, "noise_per_class": 3,
+                           "noise_variance": 0.01}
+
+    @pytest.mark.parametrize("regime", ["real", "real_noise", "real_synth"])
+    @pytest.mark.parametrize("name", sorted(REGIME_FIELD_VALUES))
+    def test_regime_sets_its_fields_and_leaves_the_others_unset(self, regime, name):
+        """Per (regime, field) pair: a used field left at its unset value, or an
+        unused one set, raises a ConfigError that names the field."""
+        table = harness.REGIME_FIELDS
+        assert {f for used in table.values() for f in used} == set(self.REGIME_FIELD_VALUES)
+        used = table[regime]
+        valid = {f: self.REGIME_FIELD_VALUES[f] for f in used}
+        assert small_config(regime=regime, **valid).regime == regime
+        change = {name: used[name] if name in used else self.REGIME_FIELD_VALUES[name]}
+        with pytest.raises(harness.ConfigError, match=name):
+            small_config(regime=regime, **{**valid, **change})
+
 
 class TestSplits:
     def test_kfold_cells_disjoint_and_stratified(self):
@@ -87,6 +105,22 @@ class TestSplits:
         cells = harness._cells_for_split(ds, {"kind": "ratio"}, rng_seed=0)
         train, val, test = cells[0]
         assert (len(train), len(val), len(test)) == (70, 10, 20)
+
+    def test_kfold_validation_share_follows_the_class_size_ratios(self):
+        """Default kfold drops a class under 30 samples and carves validation as
+        1/8 (7:1 of 7:1:2) of a 100+ class's train+validation members, 1/4 (3:1
+        of 3:1:2) of a 30..99 class's."""
+        blob = make_blob_dataset(3, 110, (4, 4, 4), seed=6)
+        sizes = (110, 50, 20)
+        ds = blob.subset([int(i) for c, n in enumerate(sizes) for i in blob.class_indices(c)[:n]])
+        cells = harness._cells_for_split(ds, {"kind": "kfold"}, rng_seed=2)
+        assert len(cells) == 3
+        for train, val, test in cells:
+            assert 2 not in ds.labels[train + val + test]
+            for c, divisor in ((0, 8), (1, 4)):
+                n_val = int((ds.labels[val] == c).sum())
+                members = n_val + int((ds.labels[train] == c).sum())
+                assert n_val == round(members / divisor) > 0
 
 
 class TestAggregate:
@@ -278,6 +312,23 @@ class TestBlobBenchmark:
         assert result["cvae_consistency"] == result["gan_consistency"] == hits / 150
 
 
+ABSENT = object()   # a sweep document key left out
+
+
+def one_or_many(values):
+    """A sweep document's regime, generator or classifier value: absent, null,
+    one name, or a list of names."""
+    return st.one_of(st.just(ABSENT), st.none(), st.sampled_from(values),
+                     st.lists(st.sampled_from(values), max_size=3))
+
+
+def as_list(value, default):
+    """The names a drawn ``one_or_many`` value stands for."""
+    if value is ABSENT:
+        return default
+    return [value] if value is None or isinstance(value, str) else value
+
+
 class TestCLI:
     def run_cli(self, *argv):
         return cli_main(list(argv))
@@ -425,6 +476,56 @@ class TestCLI:
         assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_augment_eval_rejects_unknown_mask_strategy_before_making_out(self, tmp_path,
+                                                                          capsys):
+        config = {"dataset": {"kind": "blob", "num_classes": 2, "per_class": 6,
+                              "dims": [8, 8, 8], "seed": 4},
+                  "classifier": "svm", "mask_strategy": "bogus", "repeats": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert "unknown mask strategy 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @given(regime=one_or_many(["real", "real_noise", "real_synth"]),
+           generator=one_or_many(["gmm", "cvae", "icwgan"]),
+           classifier=one_or_many(["svm", "dnn"]), single_model=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_augment_eval_cells_are_the_cross_product(self, regime, generator, classifier,
+                                                      single_model):
+        """The sweep's cells are regime x generator x classifier, with generators
+        for real_synth only; each cell keeps the document's values for its own
+        regime's fields, leaves the others unset, and gets --single-model."""
+        doc = {"dataset": {"kind": "blob"}, "synth_per_class": 4, "noise_per_class": 3,
+               "noise_variance": 0.01}
+        drawn = {"regime": regime, "generator": generator, "classifier": classifier}
+        doc.update({key: value for key, value in drawn.items() if value is not ABSENT})
+        generators = as_list(generator, ["gmm", "cvae", "icwgan"])
+        cells = [(r, g, c) for r in as_list(regime, ["real", "real_noise", "real_synth"])
+                 for g in (generators if r == "real_synth" else [None])
+                 for c in as_list(classifier, ["svm", "dnn"])]
+        flag = ["--single-model"] if single_model else []
+        args = cli.build_parser().parse_args(["augment-eval", "--config", "doc.json", *flag])
+        bad = [(r, g, c) for r, g, c in cells
+               if r is None or c is None or (r == "real_synth" and g is None)]
+        if bad:
+            r, g, c = bad[0]
+            message = ("unknown regime None" if r is None else
+                       "unknown classifier None" if c is None else
+                       "real_synth requires a generator")
+            with pytest.raises(harness.ConfigError, match=message):
+                cli._cell_configs(doc, args.single_model)
+            return
+        configs = cli._cell_configs(doc, args.single_model)
+        assert [(cfg.regime, cfg.generator, cfg.classifier) for cfg in configs] == cells
+        uses = {"real": (), "real_noise": ("noise_per_class", "noise_variance"),
+                "real_synth": ("synth_per_class",)}
+        for cfg in configs:
+            for name in ("synth_per_class", "noise_per_class", "noise_variance"):
+                assert getattr(cfg, name) == (doc[name] if name in uses[cfg.regime] else 0)
+            assert cfg.single_model is single_model
 
     @pytest.mark.parametrize("kind, block", [
         ("dnn", {"channels": [3, 4], "epochs": 2, "batch_size": 4}),

@@ -18,6 +18,12 @@ The command set (all on 8^3 blob data unless noted):
 - ``sample --class-index 1 -n 230 --seed 9`` from each generator checkpoint;
 - ``augment-eval`` over real, real_noise and real_synth x {gmm, cvae, icwgan}
   x {svm, dnn} (10 cells), then ``report`` over its runs;
+- ``augment-eval --single-model`` over real and real_synth/gmm with the SVM, on
+  a ``ratio`` split of 3 classes of 30, with no ``--out``: its runs go to the
+  document's ``output_dir``, an absolute path (the document itself is removed
+  afterwards, since that path differs between the sides);
+- ``harness._cells_for_split`` of the default kfold split of a 2-class blob
+  with 110 per class, as JSON (a class of 100+ samples: 1/8 validation share);
 - each ``harness.GENERATORS`` kind fitted on the whole sweep dataset with the
   sweep's model blocks, seed 0 and its nonconstant mask: 4 class-1 samples each
   (the sweep's runs store only accuracies, which need not move with the models);
@@ -75,6 +81,20 @@ SWEEP = {
 }
 
 
+SINGLE_MODEL = {
+    "dataset": {"kind": "blob", "num_classes": 3, "per_class": 30, "dims": [8, 8, 8],
+                "seed": 1},
+    "regime": ["real", "real_synth"],
+    "generator": "gmm",
+    "classifier": "svm",
+    "synth_per_class": 4,
+    "split": {"kind": "ratio"},
+    "repeats": 1,
+    "seed": 0,
+    "models": {"gmm": {"num_components": 1}, "svm": {"epochs": 50}},
+}
+
+
 def run_command_set(out):
     """Run every command of the set with the imported volsynth, writing below ``out``."""
     import numpy as np
@@ -120,6 +140,11 @@ def run_command_set(out):
     os.rename(j("runs", "report.csv"), j("runs", "report_augment_eval.csv"))
     os.rename(j("runs", "variance.csv"), j("runs", "variance_augment_eval.csv"))
     volsynth("report", "--runs", j("runs"))
+    single = write_json("single_model.json", {**SINGLE_MODEL, "output_dir": j("single_model")})
+    volsynth("augment-eval", "--single-model", "--config", single)
+    os.remove(single)
+    write_json("kfold_cells.json", harness._cells_for_split(
+        make_blob_dataset(2, 110, (8, 8, 8), seed=0), {"kind": "kfold"}, 0))
 
     dataset = harness.load_config_dataset(SWEEP["dataset"])
     everything = np.arange(len(dataset))
