@@ -279,7 +279,7 @@ def relu(a):
     return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def leaky_relu(a, alpha=0.2):
+def leaky_relu(a, alpha):
     if not 0.0 < alpha < 1.0:
         raise GraphError(f"leaky_relu alpha must lie in (0,1), got {alpha}")
     mask = a.data > 0
@@ -646,21 +646,6 @@ def bernoulli_reconstruction(x_hat, x, eps=1e-7):
         x_hat._accumulate(g * np.where(inside, grad, 0.0))
 
     return _make(np.asarray(ce - entropy, dtype=x_hat.data.dtype), (x_hat,), backward)
-
-
-def mse_reconstruction(x_hat, x):
-    """Summed squared error per sample, batch-averaged."""
-    t = x if isinstance(x, np.ndarray) else x.data
-    if x_hat.data.shape != t.shape:
-        raise DimensionError(
-            f"reconstruction shapes differ: {x_hat.data.shape} vs {t.shape}")
-    n = t.shape[0]
-    diff = x_hat.data - t
-
-    def backward(g):
-        x_hat._accumulate(g * 2.0 * diff / n)
-
-    return _make(np.asarray((diff * diff).sum() / n, dtype=x_hat.data.dtype), (x_hat,), backward)
 
 
 def _xlogx(v):

@@ -99,9 +99,6 @@ class DNNConfig:
     learning_rate: float = 1e-3
     epochs: int = 30
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    leaky_alpha: float = 0.2
     dtype: str = "float32"
 
 
@@ -110,7 +107,7 @@ class DNNClassifier(nn.Module):
 
     def __init__(self, dims, num_classes, config, rng):
         self.num_classes = num_classes
-        self.tower = nn.ConvTower(dims, 1, config.channels, config.leaky_alpha, rng, "clf")
+        self.tower = nn.ConvTower(dims, 1, config.channels, rng, "clf")
         self.head = nn.Dense(self.tower.out_features, num_classes, rng, "clf.head")
         self.cast(config.dtype)
 
@@ -151,7 +148,7 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
     rng = np.random.default_rng(config.seed)
     model = DNNClassifier(x_all.shape[2:], num_classes, config, rng)
     params = model.parameters()
-    adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
+    adam = nn.AdamState(config.learning_rate)
 
     x_all = x_all.astype(dtype)
     onehots = one_hot(y_all, num_classes, dtype=dtype)

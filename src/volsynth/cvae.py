@@ -32,10 +32,6 @@ class CVAEConfig:
     seed: int = 0
     enc_channels: tuple = (8, 16, 32, 64)
     dec_channels: tuple = (64, 32, 16, 8)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    leaky_alpha: float = 0.2
-    reconstruction: str = "bernoulli"   # or "gaussian_mse"
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -43,8 +39,6 @@ class CVAEConfig:
             raise ValueError("latent_dim must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (decoder batchnorm)")
-        if self.reconstruction not in ("bernoulli", "gaussian_mse"):
-            raise ValueError(f"unknown reconstruction {self.reconstruction!r}")
 
 
 @dataclass
@@ -64,8 +58,7 @@ class CVAE(nn.Module):
         self.config = config
         self.label_proj = nn.LabelProjection(num_classes, self.dims, rng, "enc.proj")
         # input channels: the volume and its label volume
-        self.encoder = nn.ConvTower(dims, 2, config.enc_channels, config.leaky_alpha, rng,
-                                    "enc")
+        self.encoder = nn.ConvTower(dims, 2, config.enc_channels, rng, "enc")
         flat = self.encoder.out_features
         self.mu_head = nn.Dense(flat, config.latent_dim, rng, "enc.mu")
         self.logvar_head = nn.Dense(flat, config.latent_dim, rng, "enc.logvar")
@@ -108,14 +101,9 @@ def kl_standard_normal(mu, logvar):
     return ad.mul(ad.tsum(ad.add(term, -1.0)), 0.5 / n)
 
 
-def elbo_loss(x, x_hat, mu, logvar, reconstruction="bernoulli"):
+def elbo_loss(x, x_hat, mu, logvar):
     """Negative ELBO pieces; total = reconstruction + kl, both batch-averaged."""
-    if reconstruction == "bernoulli":
-        rec = ad.bernoulli_reconstruction(x_hat, x)
-    elif reconstruction == "gaussian_mse":
-        rec = ad.mse_reconstruction(x_hat, x)
-    else:
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
+    rec = ad.bernoulli_reconstruction(x_hat, x)
     kl = kl_standard_normal(mu, logvar)
     total = ad.add(rec, kl)
     return total, LossParts(reconstruction=rec.item(), kl=kl.item())
@@ -141,7 +129,7 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
     rng = np.random.default_rng(config.seed)
     model = CVAE(dataset.dims, dataset.num_classes, config, rng)
     params = model.parameters()
-    adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
+    adam = nn.AdamState(config.learning_rate)
 
     if train_indices is None:
         train_indices = np.arange(len(dataset))
@@ -165,7 +153,7 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
             eps = Tensor(rng.standard_normal(mu.data.shape).astype(dtype))
             z = reparameterize(mu, logvar, eps)
             x_hat = model.decode(z, y, training=True)
-            total, parts = elbo_loss(x, x_hat, mu, logvar, config.reconstruction)
+            total, parts = elbo_loss(x, x_hat, mu, logvar)
             grads = ad.backward(total, params)
             nn.adam_step(params, grads, adam)
             parts_sum += (parts.reconstruction, parts.kl)
@@ -194,7 +182,7 @@ def evaluate_elbo(model, dataset, indices, config):
     mu, logvar = model.encode(x, y)
     z = reparameterize(mu, logvar, Tensor(np.zeros(mu.data.shape, dtype=dtype)))
     x_hat = model.decode(z, y, training=False)
-    _, parts = elbo_loss(x, x_hat, mu, logvar, config.reconstruction)
+    _, parts = elbo_loss(x, x_hat, mu, logvar)
     return parts
 
 
@@ -206,8 +194,7 @@ def sample_cvae(model, class_index, count, seed):
 
 
 # the config fields a checkpoint records: those that shape the model
-CHECKPOINT_FIELDS = ("latent_dim", "enc_channels", "dec_channels", "leaky_alpha",
-                     "reconstruction", "dtype")
+CHECKPOINT_FIELDS = ("latent_dim", "enc_channels", "dec_channels", "dtype")
 
 
 def save_cvae(model, path):

@@ -14,20 +14,21 @@ import numpy as np
 from . import nn
 from .volumes import Mask, apply_mask, scatter_mask
 
+# EM stops once the mean log-likelihood gains less than EM_TOL in an iteration
+EM_TOL = 1e-6
+# the least variance any component keeps in any feature
+VARIANCE_FLOOR = 1e-6
+
 
 @dataclass
 class EMConfig:
     num_components: int = 1
     max_iters: int = 100
-    tol: float = 1e-6          # convergence threshold on mean log-likelihood gain
-    variance_floor: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.num_components < 1:
             raise ValueError("num_components must be >= 1")
-        if self.tol <= 0 or self.variance_floor <= 0:
-            raise ValueError("tol and variance_floor must be positive")
 
 
 @dataclass
@@ -68,7 +69,7 @@ def _kmeanspp_centers(x, k, rng):
 
 
 def em_fit(features, config):
-    """Fit one mixture by EM until the mean log-likelihood gain drops below tol."""
+    """Fit one mixture by EM until the mean log-likelihood gain drops below EM_TOL."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be [n, d], got shape {x.shape}")
@@ -80,7 +81,7 @@ def em_fit(features, config):
 
     weights = np.full(k, 1.0 / k)
     means = _kmeanspp_centers(x, k, rng)
-    variances = np.maximum(x.var(axis=0, keepdims=True), config.variance_floor) \
+    variances = np.maximum(x.var(axis=0, keepdims=True), VARIANCE_FLOOR) \
         * np.ones((k, d))
 
     history = []
@@ -97,9 +98,9 @@ def em_fit(features, config):
         weights = nk / n
         means = (resp.T @ x) / nk[:, None]
         second = (resp.T @ (x * x)) / nk[:, None]
-        variances = np.maximum(second - means * means, config.variance_floor)
+        variances = np.maximum(second - means * means, VARIANCE_FLOOR)
 
-        if mean_ll - prev < config.tol and np.isfinite(prev):
+        if mean_ll - prev < EM_TOL and np.isfinite(prev):
             break
         prev = mean_ll
 
@@ -202,7 +203,6 @@ def save_gmm(model, path):
         "classes": model.trained_classes,
         "K": model.config.num_components,
         "feature_dim": feature_dim,
-        "variance_floor": model.config.variance_floor,
         "mask_dims": list(model.mask.dims),
     }
     nn.save_checkpoint(path, arrays, precision="float64", extra=extra)
@@ -214,7 +214,7 @@ def load_gmm(path):
         raise nn.CheckpointError(f"{path} is not a GMM checkpoint")
     with nn.checkpoint_errors(path):
         mask = Mask(arrays["mask"].reshape(extra["mask_dims"]) > 0.5)
-        config = EMConfig(num_components=extra["K"], variance_floor=extra["variance_floor"])
+        config = EMConfig(num_components=extra["K"])
         model = ClassGMM(mask, config)
         for c in extra["classes"]:
             model.per_class[int(c)] = MixtureParams(

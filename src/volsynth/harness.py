@@ -17,6 +17,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,12 +64,27 @@ MODEL_CONFIGS = {"gmm": gmm_mod.EMConfig, "cvae": cvae_mod.CVAEConfig,
 DATASET_FIELDS = {"manifest": {"path"}, "blob": {"num_classes", "per_class", "dims", "seed"}}
 SPLIT_FIELDS = {"ratio": set(), "fixed": {"train_per_class", "val_per_class", "test_per_class"},
                 "kfold": {"k", "min_class_size"}}
+# the fields of a config or of its blocks that hold a number: all integers but one
+NUMBER_FIELDS = {**dict.fromkeys(("synth_per_class", "noise_per_class", "repeats", "seed",
+                                  "num_classes", "per_class", "train_per_class", "val_per_class",
+                                  "test_per_class", "k", "min_class_size"), Integral),
+                 "noise_variance": Real}
+# the number of folds of a kfold split that sets no ``k``
+KFOLD_K = 3
 
 
 def unused_regime_fields(regime):
     """{field: unset value} of every regime field that ``regime`` does not use."""
     return {name: unset for used in REGIME_FIELDS.values() for name, unset in used.items()
             if regime not in REGIMES or name not in REGIME_FIELDS[regime]}
+
+
+def _check_numbers(block):
+    """Each field of ``block`` (a config's fields or a block) in NUMBER_FIELDS holds its kind."""
+    for name in sorted(set(block) & set(NUMBER_FIELDS)):
+        if isinstance(block[name], bool) or not isinstance(block[name], NUMBER_FIELDS[name]):
+            what = "an integer" if NUMBER_FIELDS[name] is Integral else "a number"
+            raise ConfigError(f"{name} must be {what}, got {block[name]!r}")
 
 
 def _check_block(name, block, kind_fields, default_kind=None):
@@ -79,6 +95,7 @@ def _check_block(name, block, kind_fields, default_kind=None):
     unknown = sorted(set(block) - kind_fields[kind] - {"kind"})
     if unknown:
         raise ConfigError(f"unknown {kind} {name} fields: {unknown}")
+    _check_numbers(block)
     return kind
 
 
@@ -89,7 +106,7 @@ def _check_split(split):
         for key in ("train_per_class", "test_per_class"):
             if key not in split:
                 raise ConfigError(f"fixed split requires {key!r}")
-    if kind == "kfold" and split.get("k", 3) < 2:
+    if kind == "kfold" and split.get("k", KFOLD_K) < 2:
         raise ConfigError(f"k must be >= 2, got {split['k']}")
 
 
@@ -102,7 +119,7 @@ class ExperimentConfig:
     synth_per_class: int = 0
     noise_per_class: int = 0
     noise_variance: float = 0.0
-    split: dict = field(default_factory=lambda: {"kind": "kfold", "k": 3})
+    split: dict = field(default_factory=lambda: {"kind": "kfold"})
     repeats: int = 3
     seed: int = 0
     mask_strategy: str = "nonconstant"
@@ -110,6 +127,7 @@ class ExperimentConfig:
     models: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_numbers(vars(self))
         for name, known in (("regime", REGIMES), ("classifier", CLASSIFIER_KINDS),
                             ("mask_strategy", MASK_STRATEGIES)):
             if getattr(self, name) not in known:
@@ -183,7 +201,7 @@ def _cells_for_split(dataset, split, rng_seed):
             val.extend(int(i) for i in order[n_train:n_train + n_val])
             test.extend(int(i) for i in order[n_train + n_val:n_train + n_val + n_test])
         return [(train, val, test)]
-    k = split.get("k", 3)
+    k = split.get("k", KFOLD_K)
     min_size = split.get("min_class_size", SMALL_CLASS_MIN)
     keep = [c for c in range(dataset.num_classes)
             if dataset.class_indices(c).size >= max(min_size, k)]

@@ -27,6 +27,9 @@ from . import nn
 from .autodiff import Tensor
 from .datasets import one_hot
 
+# Adam's (beta1, beta2) for the generator and the critic
+ADAM_BETAS = (0.5, 0.9)
+
 
 @dataclass
 class GANConfig:
@@ -39,9 +42,6 @@ class GANConfig:
     seed: int = 0
     gen_channels: tuple = (64, 32, 16, 8)
     disc_channels: tuple = (8, 16, 32, 64)
-    beta1: float = 0.5
-    beta2: float = 0.9
-    leaky_alpha: float = 0.2
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -73,8 +73,8 @@ class Generator(nn.Module):
 class Discriminator(nn.Module):
     def __init__(self, dims, num_classes, config, rng):
         self.num_classes = num_classes
-        self.tower = nn.ConvTower(dims, 1, config.disc_channels, config.leaky_alpha, rng,
-                                  "disc", num_classes=num_classes)
+        self.tower = nn.ConvTower(dims, 1, config.disc_channels, rng, "disc",
+                                  num_classes=num_classes)
         self.head = nn.Dense(self.tower.out_features, 1, rng, "disc.head")
         self.cast(config.dtype)
 
@@ -201,8 +201,8 @@ def train_icwgan(dataset, config):
     disc = Discriminator(dims, num_classes, config, rng)
     gen_params = gen.parameters()
     disc_params = disc.parameters()
-    gen_adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
-    disc_adam = nn.AdamState(config.learning_rate, config.beta1, config.beta2)
+    gen_adam = nn.AdamState(config.learning_rate, *ADAM_BETAS)
+    disc_adam = nn.AdamState(config.learning_rate, *ADAM_BETAS)
 
     volumes = dataset.stack(dtype=dtype)
     labels = one_hot(dataset.labels, num_classes, dtype=dtype)
@@ -242,7 +242,7 @@ def sample_gan(gen, class_index, count, seed):
 
 
 # the config fields a checkpoint records: those that shape the networks
-CHECKPOINT_FIELDS = ("z_dim", "gen_channels", "disc_channels", "leaky_alpha", "dtype")
+CHECKPOINT_FIELDS = ("z_dim", "gen_channels", "disc_channels", "dtype")
 
 
 def save_gan(gen, disc, path, dims, num_classes, config):

@@ -23,6 +23,8 @@ from .volumes import Volume
 INIT_STD = 0.02
 # every tower layer: 4^3 kernels, stride 2, pad 1 (conv_schedule assumes them)
 KERNEL, STRIDE, PAD = 4, 2, 1
+# the negative slope of every ConvTower's leaky ReLU
+LEAKY_ALPHA = 0.2
 
 
 class Parameter(Tensor):
@@ -257,9 +259,9 @@ class ConvTower(Module):
     gradient-penalty graph reads the latter.
     """
 
-    def __init__(self, dims, in_channels, channels, alpha, rng, name, num_classes=0):
+    def __init__(self, dims, in_channels, channels, rng, name, num_classes=0):
         self.sizes = conv_schedule(dims, len(channels))
-        self.alpha = alpha
+        self.alpha = LEAKY_ALPHA
         widths = [in_channels] + list(channels)
         label = 1 if num_classes else 0
         self.convs = [

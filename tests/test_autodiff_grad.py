@@ -151,11 +151,6 @@ class TestOpGradients:
         self.check(lambda p: ad.bernoulli_reconstruction(ad.sigmoid(p["z"]), target),
                    params)
 
-    def test_mse_reconstruction(self, rng):
-        target = rng.uniform(size=(2, 1, 3, 3, 3))
-        params = {"z": Tensor(rng.normal(size=(2, 1, 3, 3, 3)), requires_grad=True)}
-        self.check(lambda p: ad.mse_reconstruction(ad.sigmoid(p["z"]), target), params)
-
     def test_sqrt_norm_chain(self, rng):
         params = {"x": Tensor(rng.normal(size=(3, 5)) + 2.0, requires_grad=True)}
         self.check(lambda p: ad.tmean(

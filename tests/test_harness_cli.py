@@ -421,6 +421,10 @@ class TestCLI:
         ({"models": {"svm": {"C": 2.0}}}, "unknown SVMConfig fields: ['C']"),
         ({"models": {"gan": {"epochs": 1}}}, "unknown models block 'gan'"),
         ({"generator": ["gmm", "gan"]}, "real_synth requires a generator"),
+        ({"models": {"cvae": {"reconstruction": "gaussian_mse"}}},
+         "unknown CVAEConfig fields: ['reconstruction']"),
+        ({"models": {"dnn": {"leaky_alpha": 0.1}}}, "unknown DNNConfig fields: ['leaky_alpha']"),
+        ({"models": {"gmm": {"tol": 1e-4}}}, "unknown EMConfig fields: ['tol']"),
     ])
     def test_augment_eval_checks_every_cell_before_training(self, tmp_path, capsys,
                                                             change, message):
@@ -470,6 +474,41 @@ class TestCLI:
         config = {"dataset": {"kind": "blob", "num_classes": 2, "per_class": 6,
                               "dims": [8, 8, 8], "seed": 4},
                   "classifier": "svm", "split": split, "repeats": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"repeats": "2"}, "repeats must be an integer, got '2'"),
+        ({"repeats": 1.5}, "repeats must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"regime": "real_synth", "generator": "gmm", "synth_per_class": "4"},
+         "synth_per_class must be an integer, got '4'"),
+        ({"regime": "real_noise", "noise_per_class": "2", "noise_variance": 0.01},
+         "noise_per_class must be an integer, got '2'"),
+        ({"regime": "real_noise", "noise_per_class": 2, "noise_variance": "0.01"},
+         "noise_variance must be a number, got '0.01'"),
+        ({"split": {"kind": "kfold", "k": "3"}}, "k must be an integer, got '3'"),
+        ({"split": {"kind": "kfold", "min_class_size": 2.0}},
+         "min_class_size must be an integer, got 2.0"),
+        ({"split": {"kind": "fixed", "train_per_class": "3", "test_per_class": 2}},
+         "train_per_class must be an integer, got '3'"),
+        ({"split": {"kind": "fixed", "train_per_class": 3, "val_per_class": None,
+                    "test_per_class": 2}}, "val_per_class must be an integer, got None"),
+        ({"split": {"kind": "fixed", "train_per_class": 3, "test_per_class": [2]}},
+         "test_per_class must be an integer, got [2]"),
+        ({"dataset": {"kind": "blob", "num_classes": 2, "per_class": "6"}},
+         "per_class must be an integer, got '6'"),
+    ])
+    def test_augment_eval_rejects_a_count_that_is_no_integer_before_making_out(
+            self, tmp_path, capsys, change, message):
+        config = {"dataset": {"kind": "blob", "num_classes": 2, "per_class": 6,
+                              "dims": [8, 8, 8], "seed": 4},
+                  "classifier": "svm", "split": {"kind": "kfold", "k": 2}, "repeats": 1,
+                  **change}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "runs"
@@ -649,6 +688,41 @@ class TestCorruptCheckpoint:
             check = example(flipped((start + 5) * 8 + 2))(check)
             start = good.find(b'"float', start + 1)
         check()
+
+
+# the header keys that checkpoints written before the leaky slope, the CVAE's
+# reconstruction loss and the EM variance floor became constants still carry
+OLDER_HEADER_KEYS = {"gmm": {"variance_floor": 1e-6},
+                     "cvae": {"leaky_alpha": 0.2, "reconstruction": "bernoulli"},
+                     "icwgan": {"leaky_alpha": 0.2}}
+
+
+class TestOlderCheckpoints:
+    @pytest.mark.parametrize("kind", sorted(TINY_BLOCKS))
+    def test_a_header_with_the_removed_keys_loads_and_samples_the_same_bytes(
+            self, kind, tmp_path):
+        data = tmp_path / "data"
+        assert cli_main(["synth-data", "--classes", "2", "--per-class", "4",
+                         "--dims", "8,8,8", "--out", str(data)]) == 0
+        path = tmp_path / "model.ckpt"
+        argv = ["--manifest", str(data / "manifest.csv"), "--out", str(path)]
+        if TINY_BLOCKS[kind] is None:
+            assert cli_main(["train-gmm"] + argv) == 0
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(TINY_BLOCKS[kind]))
+            command = "train-gan" if kind == "icwgan" else "train-cvae"
+            assert cli_main([command, "--config", str(cfg)] + argv) == 0
+        header, newline, payload = path.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        assert not set(OLDER_HEADER_KEYS[kind]) & set(doc["extra"])
+        doc["extra"].update(OLDER_HEADER_KEYS[kind])
+        older = tmp_path / "older.ckpt"
+        older.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + newline + payload)
+        generator = harness.GENERATORS[kind]
+        draws = [np.stack([v.data for v in generator.sample(generator.load(p), 1, 5, 3)])
+                 for p in (path, older)]
+        assert draws[0].tobytes() == draws[1].tobytes()
 
 
 class TestCheckpointRoundTrip:

@@ -30,7 +30,9 @@ The command set (all on 8^3 blob data unless noted):
 - ``harness.blob_benchmark(3, ...)`` with reduced blocks, as JSON; its CVAE
   and ICW-GAN train 50 epochs at rate 5e-3 in batches of 10, so that their
   oracle consistencies leave chance and the check sees the consistency path;
-- a 3-epoch blob-profile ICW-GAN at 16^3: state, log and 4 x 30 samples.
+- a 3-epoch blob-profile ICW-GAN at 16^3: state, log and 4 x 30 samples;
+- ``model_fields.json``: each ``harness.MODEL_CONFIGS`` class's field names and
+  defaults, so a change to what a ``models`` block can set shows as a moved output.
 
 Differing outputs are listed. Those matching an ``--allow`` glob (matched
 against the path relative to the side's output directory) are expected moves;
@@ -48,6 +50,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -172,6 +175,9 @@ def run_command_set(out):
     log.write(j("gan16_log.csv"))
     samples = [v.data for c in range(4) for v in icwgan.sample_gan(gen, c, 30, seed=c)]
     np.save(j("gan16_samples.npy"), np.stack(samples))
+
+    write_json("model_fields.json", {kind: {f.name: f.default for f in fields(cls)}
+                                     for kind, cls in harness.MODEL_CONFIGS.items()})
 
 
 def export_tree(rev, dest):
