@@ -145,37 +145,37 @@ def cmd_train_clf(args):
 
 def _cell_configs(raw, single_model):
     """An ExperimentConfig per (regime, generator, classifier) cell of a sweep
-    document; each cell resets the regime fields that its regime does not use."""
-    def listed(key, default):
-        value = raw.get(key, default)
-        return [value] if value is None or isinstance(value, str) else value
-
-    raw = {**raw, "single_model": True} if single_model else raw
+    document: its regime, generator and classifier may each list names (absent:
+    all), and each cell resets the regime fields that its regime does not use."""
+    doc = nn.read_config(raw, {
+        **nn.config_fields(harness.ExperimentConfig), "regime": list(harness.REGIMES),
+        "generator": list(harness.GENERATOR_KINDS),
+        "classifier": list(harness.CLASSIFIER_KINDS), "output_dir": None}, "config")
+    del doc["output_dir"]
+    doc["single_model"] |= single_model
     configs = []
-    for regime in listed("regime", harness.REGIMES):
+    for regime in doc["regime"]:
         unused = harness.unused_regime_fields(regime)
-        gens = [None] if "generator" in unused else listed("generator", harness.GENERATOR_KINDS)
-        for generator in gens:
-            for classifier in listed("classifier", harness.CLASSIFIER_KINDS):
-                configs.append(harness.ExperimentConfig.from_dict(
-                    {**raw, **unused, "regime": regime, "generator": generator,
-                     "classifier": classifier}))
+        for generator in [None] if "generator" in unused else doc["generator"]:
+            for classifier in doc["classifier"]:
+                configs.append(harness.ExperimentConfig(
+                    **{**doc, **unused, "regime": regime, "generator": generator,
+                       "classifier": classifier}))
     return configs
 
 
 def cmd_augment_eval(args):
     raw = _load_json(args.config)
-    default_out = raw.pop("output_dir", None) or "runs"
-    out_dir = args.out or default_out
-    # every cell's config and models block is checked before the first one trains
+    # every cell is checked and every unit planned before --out is made
     configs = _cell_configs(raw, args.single_model)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = args.out or raw.get("output_dir") or "runs"
     dataset = harness.load_config_dataset(raw["dataset"])
     plans = []
     for config in configs:
         print(f"running {config.regime} / {config.generator or '-'} / {config.classifier}",
               file=sys.stderr)
         plans.append(harness.plan_units(config, dataset))
+    os.makedirs(out_dir, exist_ok=True)
     # the units of every cell share one set of worker interpreters
     runs = []
     for report in harness.run_plans(dataset, plans, log=harness.log_stderr):
@@ -215,11 +215,12 @@ def build_parser():
                                                  "data-augmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    blob = harness.DATASET_FIELDS["blob"]
     p = sub.add_parser("synth-data", help="generate the blob fixture dataset")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=30)
-    p.add_argument("--dims", type=_dims, default=(16, 16, 16))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=blob["num_classes"])
+    p.add_argument("--per-class", type=int, default=blob["per_class"])
+    p.add_argument("--dims", type=_dims, default=blob["dims"])
+    p.add_argument("--seed", type=int, default=blob["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth_data)
 

@@ -123,8 +123,6 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    if config.batch_size < 2:
-        raise ValueError("batch_size must be >= 2 (decoder batchnorm)")
     dtype = np.dtype(config.dtype).type
     rng = np.random.default_rng(config.seed)
     model = CVAE(dataset.dims, dataset.num_classes, config, rng)

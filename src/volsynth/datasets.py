@@ -226,8 +226,9 @@ def make_blob_dataset(num_classes, per_class, dims, seed,
     Each class owns fixed blob centers and widths; samples jitter amplitudes
     and centers slightly and add voxel noise, then min-max normalize.
     """
-    if num_classes < 1 or per_class < 1 or any(d < 4 for d in dims):
-        raise ValueError("num_classes, per_class must be positive and dims at least 4")
+    if num_classes < 1 or per_class < 1 or len(dims) != 3 or any(d < 4 for d in dims):
+        raise ValueError(f"need num_classes, per_class >= 1 and 3 dims >= 4, got "
+                         f"{num_classes}, {per_class}, {list(dims)}")
     rng = np.random.default_rng(seed)
     d, h, w = dims
     grid = np.stack(np.meshgrid(

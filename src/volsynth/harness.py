@@ -16,8 +16,7 @@ import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
-from numbers import Integral, Real
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from . import icwgan as gan_mod
 from . import nn
 from .datasets import (NOISY, REAL, SMALL_CLASS_MIN, SYNTHETIC, VolumeDataset, class_ratios,
                        load_dataset, make_blob_dataset, split_by_class_size, stratified_kfold)
+from .nn import ConfigError
 from .volumes import MASK_STRATEGIES, add_gaussian_noise, apply_mask, compute_mask
 
 # the fields each regime uses, each with its unset value; a config sets its
@@ -48,10 +48,6 @@ REPORT_HEADER = "input,gen_model,classifier,accuracy,macro_f1,precision,recall"
 METRIC_NAMES = ("accuracy", "macro_f1", "precision", "recall")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class LeakError(RuntimeError):
     """Indices or non-real volumes crossed from training into validation or test."""
 
@@ -60,17 +56,12 @@ class LeakError(RuntimeError):
 MODEL_CONFIGS = {"gmm": gmm_mod.EMConfig, "cvae": cvae_mod.CVAEConfig,
                  "icwgan": gan_mod.GANConfig, "svm": clf.SVMConfig, "dnn": clf.DNNConfig}
 
-# the fields besides ``kind`` that each kind of ``dataset`` and ``split`` block takes
-DATASET_FIELDS = {"manifest": {"path"}, "blob": {"num_classes", "per_class", "dims", "seed"}}
-SPLIT_FIELDS = {"ratio": set(), "fixed": {"train_per_class", "val_per_class", "test_per_class"},
-                "kfold": {"k", "min_class_size"}}
-# the fields of a config or of its blocks that hold a number: all integers but one
-NUMBER_FIELDS = {**dict.fromkeys(("synth_per_class", "noise_per_class", "repeats", "seed",
-                                  "num_classes", "per_class", "train_per_class", "val_per_class",
-                                  "test_per_class", "k", "min_class_size"), Integral),
-                 "noise_variance": Real}
-# the number of folds of a kfold split that sets no ``k``
-KFOLD_K = 3
+# {field: default} besides ``kind`` of each dataset and split kind (``nn.read_config``)
+DATASET_FIELDS = {"manifest": {"path": str},
+                  "blob": {"num_classes": 4, "per_class": 30, "dims": (16, 16, 16), "seed": 0}}
+SPLIT_FIELDS = {"ratio": {},
+                "fixed": {"train_per_class": int, "val_per_class": 0, "test_per_class": int},
+                "kfold": {"k": 3, "min_class_size": SMALL_CLASS_MIN}}
 
 
 def unused_regime_fields(regime):
@@ -79,35 +70,12 @@ def unused_regime_fields(regime):
             if regime not in REGIMES or name not in REGIME_FIELDS[regime]}
 
 
-def _check_numbers(block):
-    """Each field of ``block`` (a config's fields or a block) in NUMBER_FIELDS holds its kind."""
-    for name in sorted(set(block) & set(NUMBER_FIELDS)):
-        if isinstance(block[name], bool) or not isinstance(block[name], NUMBER_FIELDS[name]):
-            what = "an integer" if NUMBER_FIELDS[name] is Integral else "a number"
-            raise ConfigError(f"{name} must be {what}, got {block[name]!r}")
-
-
-def _check_block(name, block, kind_fields, default_kind=None):
-    """The block's kind, once the kind and every other field are known ones."""
+def read_kind_block(name, block, kind_fields, default_kind=None):
+    """A ``dataset`` or ``split`` block (a dict) with its kind's defaults filled in."""
     kind = block.get("kind", default_kind)
-    if kind not in kind_fields:
+    if kind not in tuple(kind_fields):
         raise ConfigError(f"unknown {name} kind {kind!r}; expected one of {tuple(kind_fields)}")
-    unknown = sorted(set(block) - kind_fields[kind] - {"kind"})
-    if unknown:
-        raise ConfigError(f"unknown {kind} {name} fields: {unknown}")
-    _check_numbers(block)
-    return kind
-
-
-def _check_split(split):
-    """A split block's known fields, a fixed split's required ones, and kfold's k."""
-    kind = _check_block("split", split, SPLIT_FIELDS, default_kind="kfold")
-    if kind == "fixed":
-        for key in ("train_per_class", "test_per_class"):
-            if key not in split:
-                raise ConfigError(f"fixed split requires {key!r}")
-    if kind == "kfold" and split.get("k", KFOLD_K) < 2:
-        raise ConfigError(f"k must be >= 2, got {split['k']}")
+    return nn.read_config(block, {"kind": kind, **kind_fields[kind]}, f"{kind} {name}")
 
 
 @dataclass
@@ -127,12 +95,12 @@ class ExperimentConfig:
     models: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_numbers(vars(self))
         for name, known in (("regime", REGIMES), ("classifier", CLASSIFIER_KINDS),
                             ("mask_strategy", MASK_STRATEGIES)):
             if getattr(self, name) not in known:
                 raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}; "
                                   f"expected one of {known}")
+        nn.read_config(vars(self), nn.config_fields(type(self)), "config")
         for name, unset in unused_regime_fields(self.regime).items():
             if getattr(self, name) != unset:
                 raise ConfigError(f"{name} must be {unset!r} for regime {self.regime!r}")
@@ -143,32 +111,24 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.regime} requires {name} > 0")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        _check_block("dataset", self.dataset, DATASET_FIELDS)
-        _check_split(self.split)
+        read_kind_block("dataset", self.dataset, DATASET_FIELDS)
+        split = read_kind_block("split", self.split, SPLIT_FIELDS, "kfold")
+        if split["kind"] == "kfold" and split["k"] < 2:
+            raise ConfigError(f"k must be >= 2, got {split['k']}")
         for kind, block in self.models.items():
             if kind not in MODEL_CONFIGS:
                 raise ConfigError(
                     f"unknown models block {kind!r}; expected one of {tuple(MODEL_CONFIGS)}")
             nn.model_config(MODEL_CONFIGS[kind], block)
 
-    @classmethod
-    def from_dict(cls, raw):
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "dataset" not in raw:
-            raise ConfigError("config requires a 'dataset' block")
-        return cls(**raw)
+    from_dict = classmethod(nn.model_config)
 
 
 def load_config_dataset(spec):
-    if _check_block("dataset", spec, DATASET_FIELDS) == "manifest":
+    spec = read_kind_block("dataset", spec, DATASET_FIELDS)
+    if spec.pop("kind") == "manifest":
         return load_dataset(spec["path"])
-    return make_blob_dataset(
-        num_classes=spec.get("num_classes", 4),
-        per_class=spec.get("per_class", 30),
-        dims=tuple(spec.get("dims", (16, 16, 16))),
-        seed=spec.get("seed", 0))
+    return make_blob_dataset(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +138,16 @@ def load_config_dataset(spec):
 def _cells_for_split(dataset, split, rng_seed):
     """List of (train, val, test) index triples, one per fold.
 
-    ``split`` is an ExperimentConfig's, which ``_check_split`` has passed.
+    ``split`` is an ExperimentConfig's, which its ``__post_init__`` has checked.
     """
-    kind = split.get("kind", "kfold")
+    split = read_kind_block("split", split, SPLIT_FIELDS, "kfold")
+    kind = split["kind"]
     if kind == "ratio":
         result = split_by_class_size(dataset, rng_seed)
         return [(result.train, result.validation, result.test)]
     if kind == "fixed":
         n_train = split["train_per_class"]
-        n_val = split.get("val_per_class", 0)
+        n_val = split["val_per_class"]
         n_test = split["test_per_class"]
         rng = np.random.default_rng(rng_seed)
         train, val, test = [], [], []
@@ -201,8 +162,7 @@ def _cells_for_split(dataset, split, rng_seed):
             val.extend(int(i) for i in order[n_train:n_train + n_val])
             test.extend(int(i) for i in order[n_train + n_val:n_train + n_val + n_test])
         return [(train, val, test)]
-    k = split.get("k", KFOLD_K)
-    min_size = split.get("min_class_size", SMALL_CLASS_MIN)
+    k, min_size = split["k"], split["min_class_size"]
     keep = [c for c in range(dataset.num_classes)
             if dataset.class_indices(c).size >= max(min_size, k)]
     kept_indices = [i for i in range(len(dataset)) if dataset.labels[i] in keep]

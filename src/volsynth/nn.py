@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral, Real
+from typing import get_type_hints
 
 import numpy as np
 
@@ -491,17 +493,55 @@ def checkpoint_errors(path):
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
 
 
-def model_config(cls, block, **defaults):
-    """A config dataclass from a JSON object: a config block or a checkpoint header.
+class ConfigError(ValueError):
+    """A config block or checkpoint header that ``read_config`` rejects."""
 
-    Keys of ``block`` override ``defaults``; JSON lists become tuples for the
-    fields whose default is a tuple. A key that names no field is a ValueError.
+
+# the JSON values that may stand for a default of each type (no bool is a number), by name
+ACCEPTS = {bool: (bool, "true or false"), int: (Integral, "an integer"),
+           float: (Real, "a number"), str: (str, "a string"), dict: (dict, "a JSON object"),
+           tuple: ((list, tuple), "a list of integers"),
+           type(None): ((str, type(None)), "a string or null"),
+           list: ((str, type(None), list), "a name, null or a list of names")}
+
+
+def read_config(block, spec, what):
+    """``block``, a JSON object of ``spec``'s fields, with its defaults filled in.
+
+    ``spec`` is {field: default}, where a type marks a field the block must set; each
+    value is one ``ACCEPTS`` for its default's type, and becomes a tuple or list if that is one.
     """
-    unknown = sorted(set(block) - {f.name for f in fields(cls)})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block) - set(spec))
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
-    tuples = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
-    return cls(**{**defaults, **{k: tuple(v) if k in tuples else v for k, v in block.items()}})
+        raise ConfigError(f"unknown {what} fields: {unknown}")
+    values = {}
+    for name, default in spec.items():
+        kind = default if isinstance(default, type) else type(default)
+        if name not in block and kind is default:
+            raise ConfigError(f"{what} requires {name!r}")
+        value = block.get(name, default)
+        types, expected = ACCEPTS[kind]
+        if (not isinstance(value, types) or isinstance(value, bool) != (kind is bool)
+                or kind is tuple and not all(type(v) is int for v in value)):
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        if kind in (tuple, list):
+            value = kind(value) if isinstance(value, (list, tuple)) else [value]
+        values[name] = value
+    return values
+
+
+def config_fields(cls):
+    """{field: default} of a config dataclass; a field without a default maps to its type."""
+    return {f.name: f.default if f.default is not MISSING else f.default_factory()
+            if f.default_factory is not MISSING else get_type_hints(cls)[f.name]
+            for f in fields(cls)}
+
+
+def model_config(cls, block, **defaults):
+    """``cls`` from a config block or checkpoint header; ``defaults`` replace its own."""
+    return cls(**read_config(block, {**config_fields(cls), **defaults}, cls.__name__))
 
 
 def save_checkpoint(path, arrays, precision="float64", extra=None):

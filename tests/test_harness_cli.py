@@ -76,6 +76,63 @@ class TestConfigValidation:
         with pytest.raises(harness.ConfigError, match=name):
             small_config(regime=regime, **{**valid, **change})
 
+    # JSON values by kind, and the kinds that may stand for a default of each type
+    JSON_VALUES = {"null": st.none(), "bool": st.booleans(), "int": st.integers(-3, 3),
+                   "float": st.floats(-2, 2, allow_nan=False), "str": st.text(max_size=3),
+                   "list": st.lists(st.integers(0, 3), max_size=2),
+                   "names": st.lists(st.text(max_size=2), min_size=1, max_size=2),
+                   "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)}
+    FITS = {bool: {"bool"}, int: {"int"}, float: {"int", "float"}, str: {"str"},
+            tuple: {"list"}, dict: {"object"}, type(None): {"null", "str"},
+            list: {"null", "str", "list", "names"}}
+
+    @staticmethod
+    def every_field():
+        """(block path, block, field, default) of each field of each block a sweep
+        document holds: the document, each dataset and split kind, each models block."""
+        doc_fields = {**nn.config_fields(ExperimentConfig), "regime": ["real"],
+                      "generator": ["gmm"], "classifier": ["svm"], "output_dir": None}
+        out = [((), {}, name, default) for name, default in doc_fields.items()]
+        for key, table in (("dataset", harness.DATASET_FIELDS), ("split", harness.SPLIT_FIELDS)):
+            for kind, spec in table.items():
+                block = {"kind": kind, **{name: {int: 2, str: "m.csv"}[default]
+                                          for name, default in spec.items()
+                                          if isinstance(default, type)}}
+                out += [((key,), block, name, default)
+                        for name, default in {"kind": kind, **spec}.items()]
+        for kind, cls in harness.MODEL_CONFIGS.items():
+            out += [(("models", kind), {}, name, default)
+                    for name, default in nn.config_fields(cls).items()]
+        return out
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_wrong_typed_value_in_any_field_of_any_block_names_the_field(self, data):
+        """Any JSON value whose type may not stand for a field's default, in any
+        field of any block of a sweep document, raises ConfigError naming the
+        field before any cell is built."""
+        path, block, name, default = data.draw(st.sampled_from(self.every_field()))
+        kind = default if isinstance(default, type) else type(default)
+        value = data.draw(st.sampled_from(sorted(set(self.JSON_VALUES) - self.FITS[kind]))
+                          .flatmap(self.JSON_VALUES.get))
+        doc = {"dataset": {"kind": "blob"}, "regime": "real", "classifier": "svm"}
+        target = doc
+        for key in path:
+            target = target.setdefault(key, {})
+        target.update(block, **{name: value})
+        with pytest.raises(harness.ConfigError) as info:
+            cli._cell_configs(doc, False)
+        assert name in str(info.value)
+
+    def test_readme_example_document_passes_the_reader(self):
+        """The JSON example under README's "Experiment config" is a valid sweep."""
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        section = readme[readme.index("### Experiment config"):]
+        start = section.index("```json\n") + len("```json\n")
+        example = section[start:section.index("\n```", start)]
+        configs = cli._cell_configs(json.loads(example), False)
+        assert len(configs) == 2 + 2 + 3 * 2
+
 
 class TestSplits:
     def test_kfold_cells_disjoint_and_stratified(self):
@@ -370,6 +427,24 @@ class TestCLI:
         assert code == 1
         assert "unknown GANConfig fields: ['bogus']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("train-cvae", {"epochs": "2"}, "error: epochs must be an integer, got '2'"),
+        ("train-gan", [1], "error: GANConfig must be a JSON object, got [1]"),
+        ("augment-eval", [1], "error: config must be a JSON object, got [1]"),
+    ])
+    def test_a_config_that_is_no_object_or_holds_a_wrong_type_exits_1(
+            self, tmp_path, capsys, command, config, message):
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "2", "--per-class", "3",
+                            "--dims", "4,4,4", "--out", str(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        manifest = [] if command == "augment-eval" else ["--manifest", str(data / "manifest.csv")]
+        assert self.run_cli(command, *manifest, "--config", str(cfg), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_augment_eval_and_report_deterministic(self, tmp_path):
         config = {
             "dataset": {"kind": "blob", "num_classes": 3, "per_class": 9,
@@ -425,6 +500,10 @@ class TestCLI:
          "unknown CVAEConfig fields: ['reconstruction']"),
         ({"models": {"dnn": {"leaky_alpha": 0.1}}}, "unknown DNNConfig fields: ['leaky_alpha']"),
         ({"models": {"gmm": {"tol": 1e-4}}}, "unknown EMConfig fields: ['tol']"),
+        ({"models": {"svm": {"epochs": "20"}}}, "error: epochs must be an integer, got '20'"),
+        ({"models": {"dnn": {"channels": 4}}},
+         "error: channels must be a list of integers, got 4"),
+        ({"models": {"svm": 3}}, "error: SVMConfig must be a JSON object, got 3"),
     ])
     def test_augment_eval_checks_every_cell_before_training(self, tmp_path, capsys,
                                                             change, message):
@@ -502,6 +581,19 @@ class TestCLI:
          "test_per_class must be an integer, got [2]"),
         ({"dataset": {"kind": "blob", "num_classes": 2, "per_class": "6"}},
          "per_class must be an integer, got '6'"),
+        ({"single_model": "false"}, "error: single_model must be true or false, got 'false'"),
+        ({"dataset": "blob"}, "error: dataset must be a JSON object, got 'blob'"),
+        ({"split": 3}, "error: split must be a JSON object, got 3"),
+        ({"output_dir": 5}, "error: output_dir must be a string or null, got 5"),
+        # errors found while loading the data and planning the units
+        ({"regime": "real", "dataset": {"kind": "manifest", "path": "no/such/manifest.csv"}},
+         "error: [Errno 2] No such file or directory"),
+        ({"regime": "real", "dataset": {"kind": "blob", "dims": [2, 2, 2]}},
+         "error: need num_classes, per_class >= 1 and 3 dims >= 4, got 4, 30, [2, 2, 2]"),
+        ({"regime": "real", "dataset": {"kind": "blob", "dims": [8, 8]}},
+         "error: need num_classes, per_class >= 1 and 3 dims >= 4, got 4, 30, [8, 8]"),
+        ({"regime": "real", "split": {"kind": "fixed", "train_per_class": 5, "test_per_class": 5}},
+         "error: class 0 has 6 samples, fixed split needs 10"),
     ])
     def test_augment_eval_rejects_a_count_that_is_no_integer_before_making_out(
             self, tmp_path, capsys, change, message):
