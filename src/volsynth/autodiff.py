@@ -656,8 +656,11 @@ def _xlogx(v):
 def backward(loss, parameters):
     """Run backprop from ``loss`` and collect per-parameter gradients.
 
-    Parameters not reachable from the loss get zero gradients.
+    Parameters not reachable from the loss get zero gradients; a constant loss,
+    which no graph connects to any parameter, raises GraphError.
     """
+    if not _needs_grad(loss):
+        raise GraphError("the loss is a constant with no graph; no parameter gets a gradient")
     for p in parameters.values():
         p.zero_grad()
     loss.backward()

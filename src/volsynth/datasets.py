@@ -105,12 +105,13 @@ def load_dataset(manifest_path):
     dims differ from the first volume's raises ManifestError; a missing volume
     file raises FileNotFoundError.
     """
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    classes_path = os.path.join(base, "classes.txt")
-    with open(classes_path) as fh:
-        class_table = [line.rstrip("\n") for line in fh if line.strip()]
-    volumes, labels = [], []
+    # the manifest is opened before classes.txt, so a missing manifest is the file named
     with open(manifest_path) as fh:
+        base = os.path.dirname(os.path.abspath(manifest_path))
+        classes_path = os.path.join(base, "classes.txt")
+        with open(classes_path) as classes:
+            class_table = [line.rstrip("\n") for line in classes if line.strip()]
+        volumes, labels = [], []
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -230,14 +231,10 @@ def make_blob_dataset(num_classes, per_class, dims, seed,
         raise ValueError(f"need num_classes, per_class >= 1 and 3 dims >= 4, got "
                          f"{num_classes}, {per_class}, {list(dims)}")
     rng = np.random.default_rng(seed)
-    d, h, w = dims
-    grid = np.stack(np.meshgrid(
-        np.arange(d), np.arange(h), np.arange(w), indexing="ij"), axis=-1).astype(np.float64)
+    axes = [np.arange(n, dtype=np.float64) for n in dims]
     margin = 0.2
-    centers = rng.uniform(
-        [margin * d, margin * h, margin * w],
-        [(1 - margin) * d, (1 - margin) * h, (1 - margin) * w],
-        size=(num_classes, BLOBS_PER_CLASS, 3))
+    centers = rng.uniform(margin * np.asarray(dims), (1 - margin) * np.asarray(dims),
+                          size=(num_classes, BLOBS_PER_CLASS, 3))
     widths = rng.uniform(0.09, 0.14, size=(num_classes, BLOBS_PER_CLASS)) * min(dims)
 
     volumes, labels = [], []
@@ -247,7 +244,10 @@ def make_blob_dataset(num_classes, per_class, dims, seed,
             for b in range(BLOBS_PER_CLASS):
                 amp = 1.0 + rng.uniform(-amplitude_jitter, amplitude_jitter)
                 ctr = centers[c, b] + rng.normal(0.0, center_jitter, size=3)
-                dist2 = ((grid - ctr) ** 2).sum(axis=-1)
+                # the per-axis squares, added in the order of a [d, h, w, 3] grid's
+                # sum over its last axis: every voxel keeps its bits
+                sq0, sq1, sq2 = [(axis - x) ** 2 for axis, x in zip(axes, ctr)]
+                dist2 = (sq0[:, None, None] + sq1[None, :, None]) + sq2[None, None, :]
                 vol += amp * np.exp(-dist2 / (2.0 * widths[c, b] ** 2))
             vol += rng.normal(0.0, noise_std, size=dims)
             volumes.append(normalize_minmax(Volume(vol)))

@@ -55,6 +55,8 @@ class LeakError(RuntimeError):
 # the config class each ``models`` block builds
 MODEL_CONFIGS = {"gmm": gmm_mod.EMConfig, "cvae": cvae_mod.CVAEConfig,
                  "icwgan": gan_mod.GANConfig, "svm": clf.SVMConfig, "dnn": clf.DNNConfig}
+# the channels field of the strided conv tower each block builds over the data's dims
+CONV_CHANNELS = {"dnn": "channels", "cvae": "enc_channels", "icwgan": "disc_channels"}
 
 # {field: default} besides ``kind`` of each dataset and split kind (``nn.read_config``)
 DATASET_FIELDS = {"manifest": {"path": str},
@@ -163,8 +165,11 @@ def _cells_for_split(dataset, split, rng_seed):
             test.extend(int(i) for i in order[n_train + n_val:n_train + n_val + n_test])
         return [(train, val, test)]
     k, min_size = split["k"], split["min_class_size"]
-    keep = [c for c in range(dataset.num_classes)
-            if dataset.class_indices(c).size >= max(min_size, k)]
+    sizes = [int(dataset.class_indices(c).size) for c in range(dataset.num_classes)]
+    keep = [c for c, size in enumerate(sizes) if size >= max(min_size, k)]
+    if not keep:
+        raise ConfigError(f"kfold split keeps no class: class sizes {sizes} are all below "
+                          f"max(min_class_size, k) = {max(min_size, k)}")
     kept_indices = [i for i in range(len(dataset)) if dataset.labels[i] in keep]
     sub = dataset.subset(kept_indices)
     folds = stratified_kfold(sub, k, rng_seed)
@@ -384,6 +389,10 @@ def plan_units(config, dataset):
     here, before any unit runs.
     """
     cells = _cells_for_split(dataset, config.split, config.seed)
+    for kind in (config.classifier, config.generator):
+        if kind in CONV_CHANNELS:   # dims that collapse within the block's tower fail here
+            block = nn.model_config(MODEL_CONFIGS[kind], config.models.get(kind, {}))
+            nn.conv_schedule(dataset.dims, len(getattr(block, CONV_CHANNELS[kind])))
     for fold, (train_idx, val_idx, test_idx) in enumerate(cells):
         for a, b, what in ((train_idx, val_idx, "train/val"),
                            (train_idx, test_idx, "train/test"),

@@ -33,6 +33,20 @@ def test_unreachable_parameter_gets_zero_gradient(rng):
     assert np.array_equal(grads["orphan"], np.zeros(3))
 
 
+@pytest.mark.parametrize("loss", [Tensor(2.0), Tensor(np.ones(1)),
+                                  Tensor(3.0, requires_grad=True).detach()])
+def test_a_constant_loss_with_no_graph_is_refused(rng, loss):
+    """A loss cut from every parameter would otherwise train on zero gradients."""
+    w = Tensor(rng.normal(size=3), requires_grad=True)
+    with pytest.raises(ad.GraphError, match="constant with no graph"):
+        ad.backward(loss, {"w": w})
+
+
+def test_a_parameter_as_its_own_loss_gets_ones():
+    w = Tensor(np.array([0.5]), requires_grad=True)
+    assert np.array_equal(ad.backward(w, {"w": w})["w"], [1.0])
+
+
 def test_gradient_accumulates_across_paths(rng):
     x = Tensor(rng.normal(size=4), requires_grad=True)
     loss = ad.tsum(ad.add(x, x))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from volsynth import datasets as dsm
 from volsynth.datasets import (ManifestError, VolumeDataset, make_blob_dataset, one_hot,
                                split_by_class_size, stratified_kfold)
-from volsynth.volumes import Volume, write_volume
+from volsynth.volumes import Volume, normalize_minmax, write_volume
 
 
 def toy_dataset(counts, dims=(3, 3, 3), seed=0):
@@ -199,7 +199,53 @@ class TestStratifiedKFold:
             stratified_kfold(ds, 3, seed=0)
 
 
+def grid_blob_dataset(num_classes, per_class, dims, seed,
+                      noise_std=0.06, amplitude_jitter=0.25, center_jitter=0.6):
+    """``make_blob_dataset`` written with a [d, h, w, 3] coordinate grid whose
+    squared distances to a blob centre are summed over the last axis."""
+    rng = np.random.default_rng(seed)
+    d, h, w = dims
+    grid = np.stack(np.meshgrid(
+        np.arange(d), np.arange(h), np.arange(w), indexing="ij"), axis=-1).astype(np.float64)
+    margin = 0.2
+    centers = rng.uniform(
+        [margin * d, margin * h, margin * w],
+        [(1 - margin) * d, (1 - margin) * h, (1 - margin) * w],
+        size=(num_classes, dsm.BLOBS_PER_CLASS, 3))
+    widths = rng.uniform(0.09, 0.14, size=(num_classes, dsm.BLOBS_PER_CLASS)) * min(dims)
+    volumes, labels = [], []
+    for c in range(num_classes):
+        for _ in range(per_class):
+            vol = np.zeros(dims)
+            for b in range(dsm.BLOBS_PER_CLASS):
+                amp = 1.0 + rng.uniform(-amplitude_jitter, amplitude_jitter)
+                ctr = centers[c, b] + rng.normal(0.0, center_jitter, size=3)
+                dist2 = ((grid - ctr) ** 2).sum(axis=-1)
+                vol += amp * np.exp(-dist2 / (2.0 * widths[c, b] ** 2))
+            vol += rng.normal(0.0, noise_std, size=dims)
+            volumes.append(normalize_minmax(Volume(vol)))
+            labels.append(c)
+    return volumes, labels
+
+
 class TestBlobFixture:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(*[st.integers(4, 20)] * 3), num_classes=st.integers(1, 4),
+           per_class=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           noise_std=st.floats(0.0, 0.5), amplitude_jitter=st.floats(0.0, 0.5),
+           center_jitter=st.floats(0.0, 3.0))
+    def test_equals_the_grid_formula_byte_for_byte(self, dims, num_classes, per_class, seed,
+                                                   noise_std, amplitude_jitter,
+                                                   center_jitter):
+        knobs = dict(noise_std=noise_std, amplitude_jitter=amplitude_jitter,
+                     center_jitter=center_jitter)
+        ds = make_blob_dataset(num_classes, per_class, dims, seed, **knobs)
+        volumes, labels = grid_blob_dataset(num_classes, per_class, dims, seed, **knobs)
+        assert ds.labels.tolist() == labels
+        for got, want in zip(ds.volumes, volumes, strict=True):
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+
     def test_counts(self):
         ds = make_blob_dataset(4, 30, (16, 16, 16), seed=7)
         assert len(ds) == 120

@@ -587,13 +587,42 @@ class TestCLI:
         ({"output_dir": 5}, "error: output_dir must be a string or null, got 5"),
         # errors found while loading the data and planning the units
         ({"regime": "real", "dataset": {"kind": "manifest", "path": "no/such/manifest.csv"}},
-         "error: [Errno 2] No such file or directory"),
+         "error: [Errno 2] No such file or directory: 'no/such/manifest.csv'"),
         ({"regime": "real", "dataset": {"kind": "blob", "dims": [2, 2, 2]}},
          "error: need num_classes, per_class >= 1 and 3 dims >= 4, got 4, 30, [2, 2, 2]"),
         ({"regime": "real", "dataset": {"kind": "blob", "dims": [8, 8]}},
          "error: need num_classes, per_class >= 1 and 3 dims >= 4, got 4, 30, [8, 8]"),
         ({"regime": "real", "split": {"kind": "fixed", "train_per_class": 5, "test_per_class": 5}},
          "error: class 0 has 6 samples, fixed split needs 10"),
+        ({"regime": "real", "split": {"kind": "kfold", "k": 2}},
+         "error: kfold split keeps no class: class sizes [6, 6] are all below "
+         "max(min_class_size, k) = 30"),
+        ({"regime": "real", "split": {"kind": "kfold", "k": 50, "min_class_size": 2}},
+         "error: kfold split keeps no class: class sizes [6, 6] are all below "
+         "max(min_class_size, k) = 50"),
+        ({"regime": "real", "classifier": "dnn",
+          "split": {"kind": "kfold", "k": 2, "min_class_size": 2}},
+         "error: dims (8, 8, 8) collapse below 1 within 4 conv layers"),
+        ({"regime": "real_synth", "generator": "cvae", "synth_per_class": 2,
+          "split": {"kind": "kfold", "k": 2, "min_class_size": 2}},
+         "error: dims (8, 8, 8) collapse below 1 within 4 conv layers"),
+        ({"regime": "real_synth", "generator": "icwgan", "synth_per_class": 2,
+          "split": {"kind": "kfold", "k": 2, "min_class_size": 2}},
+         "error: dims (8, 8, 8) collapse below 1 within 4 conv layers"),
+        # range checks of the model blocks, which every cell builds
+        ({"models": {"dnn": {"batch_size": 0}}},
+         "error: batch_size and epochs must be >= 1, got batch_size=0, epochs=30"),
+        ({"models": {"dnn": {"epochs": 0}}},
+         "error: batch_size and epochs must be >= 1, got batch_size=50, epochs=0"),
+        ({"models": {"dnn": {"channels": []}}}, "error: channels must be positive widths, got []"),
+        ({"models": {"dnn": {"channels": [4, 0]}}},
+         "error: channels must be positive widths, got [4, 0]"),
+        ({"models": {"dnn": {"dtype": "int8"}}},
+         "error: dtype must be 'float32' or 'float64', got 'int8'"),
+        ({"models": {"svm": {"reg_c": 0}}},
+         "error: reg_c must be > 0 and epochs >= 1, got reg_c=0, epochs=300"),
+        ({"models": {"svm": {"epochs": 0}}},
+         "error: reg_c must be > 0 and epochs >= 1, got reg_c=1.0, epochs=0"),
     ])
     def test_augment_eval_rejects_a_count_that_is_no_integer_before_making_out(
             self, tmp_path, capsys, change, message):
@@ -605,7 +634,8 @@ class TestCLI:
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "runs"
         assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_augment_eval_rejects_unknown_mask_strategy_before_making_out(self, tmp_path,
