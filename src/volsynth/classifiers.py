@@ -39,16 +39,11 @@ class LinearSVMModel:
 
 
 @dataclass
-class SVMConfig:
+class SVMConfig(nn.Config):
     """The ``svm`` block: the settings of :func:`train_svm` and their defaults."""
 
     reg_c: float = 1.0
     epochs: int = 300
-
-    def __post_init__(self):
-        if not self.reg_c > 0 or self.epochs < 1:
-            raise ValueError(f"reg_c must be > 0 and epochs >= 1, got reg_c={self.reg_c}, "
-                             f"epochs={self.epochs}")
 
 
 def train_svm(features, labels, reg_c=SVMConfig.reg_c, epochs=SVMConfig.epochs, mask=None):
@@ -98,22 +93,13 @@ def train_svm(features, labels, reg_c=SVMConfig.reg_c, epochs=SVMConfig.epochs, 
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DNNConfig:
+class DNNConfig(nn.Config):
     channels: tuple = (8, 16, 32, 64)
     batch_size: int = 50
     learning_rate: float = 1e-3
     epochs: int = 30
     seed: int = 0
     dtype: str = "float32"
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError(f"batch_size and epochs must be >= 1, got "
-                             f"batch_size={self.batch_size}, epochs={self.epochs}")
-        if not self.channels or min(self.channels) < 1:
-            raise ValueError(f"channels must be positive widths, got {list(self.channels)}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
 
 class DNNClassifier(nn.Module):

@@ -24,7 +24,7 @@ from .datasets import one_hot
 
 
 @dataclass
-class CVAEConfig:
+class CVAEConfig(nn.Config):
     latent_dim: int = 128
     batch_size: int = 50
     learning_rate: float = 1e-4
@@ -35,10 +35,9 @@ class CVAEConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        super().__post_init__()
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (decoder batchnorm)")
+            raise nn.ConfigError("batch_size must be >= 2 (decoder batchnorm)")
 
 
 @dataclass

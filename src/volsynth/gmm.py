@@ -21,14 +21,10 @@ VARIANCE_FLOOR = 1e-6
 
 
 @dataclass
-class EMConfig:
+class EMConfig(nn.Config):
     num_components: int = 1
     max_iters: int = 100
     seed: int = 0
-
-    def __post_init__(self):
-        if self.num_components < 1:
-            raise ValueError("num_components must be >= 1")
 
 
 @dataclass

@@ -81,7 +81,7 @@ def read_kind_block(name, block, kind_fields, default_kind=None):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(nn.Config):
     dataset: dict
     regime: str = "real"
     generator: str | None = None
@@ -102,7 +102,7 @@ class ExperimentConfig:
             if getattr(self, name) not in known:
                 raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}; "
                                   f"expected one of {known}")
-        nn.read_config(vars(self), nn.config_fields(type(self)), "config")
+        super().__post_init__()
         for name, unset in unused_regime_fields(self.regime).items():
             if getattr(self, name) != unset:
                 raise ConfigError(f"{name} must be {unset!r} for regime {self.regime!r}")
@@ -111,12 +111,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.regime} requires a generator from {GENERATOR_KINDS}")
             if name != "generator" and not getattr(self, name) > 0:
                 raise ConfigError(f"{self.regime} requires {name} > 0")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
         read_kind_block("dataset", self.dataset, DATASET_FIELDS)
-        split = read_kind_block("split", self.split, SPLIT_FIELDS, "kfold")
-        if split["kind"] == "kfold" and split["k"] < 2:
-            raise ConfigError(f"k must be >= 2, got {split['k']}")
+        read_kind_block("split", self.split, SPLIT_FIELDS, "kfold")
         for kind, block in self.models.items():
             if kind not in MODEL_CONFIGS:
                 raise ConfigError(

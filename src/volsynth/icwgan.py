@@ -32,7 +32,7 @@ ADAM_BETAS = (0.5, 0.9)
 
 
 @dataclass
-class GANConfig:
+class GANConfig(nn.Config):
     z_dim: int = 128
     lambda_gp: float = 10.0
     critic_iters: int = 5
@@ -43,14 +43,6 @@ class GANConfig:
     gen_channels: tuple = (64, 32, 16, 8)
     disc_channels: tuple = (8, 16, 32, 64)
     dtype: str = "float32"
-
-    def __post_init__(self):
-        if self.lambda_gp < 0:
-            raise ValueError("lambda_gp must be >= 0")
-        if self.critic_iters < 1:
-            raise ValueError("critic_iters must be >= 1")
-        if self.z_dim < 1 or self.batch_size < 1:
-            raise ValueError("z_dim and batch_size must be positive")
 
 
 class Generator(nn.Module):

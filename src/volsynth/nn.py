@@ -503,13 +503,22 @@ ACCEPTS = {bool: (bool, "true or false"), int: (Integral, "an integer"),
            tuple: ((list, tuple), "a list of integers"),
            type(None): ((str, type(None)), "a string or null"),
            list: ((str, type(None), list), "a name, null or a list of names")}
+# the values a field may take, by its name in any block; each entry of a width list (a tuple
+# setting) is >= 1, and the list is not empty
+VALUE_RULES = {**dict.fromkeys(("epochs", "batch_size", "max_iters", "num_components",
+                                "critic_iters", "latent_dim", "z_dim", "repeats",
+                                "train_per_class", "test_per_class"), (">=", 1)),
+               **dict.fromkeys(("lambda_gp", "val_per_class", "seed"), (">=", 0)),
+               "k": (">=", 2), "learning_rate": (">", 0), "reg_c": (">", 0),
+               "dtype": ("in", ("float32", "float64"))}
 
 
 def read_config(block, spec, what):
     """``block``, a JSON object of ``spec``'s fields, with its defaults filled in.
 
     ``spec`` is {field: default}, where a type marks a field the block must set; each
-    value is one ``ACCEPTS`` for its default's type, and becomes a tuple or list if that is one.
+    value is one ``ACCEPTS`` for its default's type, and becomes a tuple or list if that is
+    one, and then meets the field's ``VALUE_RULES``.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{what} must be a JSON object, got {block!r}")
@@ -528,6 +537,13 @@ def read_config(block, spec, what):
             raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if kind in (tuple, list):
             value = kind(value) if isinstance(value, (list, tuple)) else [value]
+        if kind is tuple and not (value and min(value) >= 1):
+            raise ConfigError(f"{name} must be a non-empty list of integers >= 1, "
+                              f"got {list(value)}")
+        op, bound = VALUE_RULES.get(name, (None, None))
+        if op and not (value >= bound if op == ">=" else value > bound if op == ">"
+                       else value in bound):
+            raise ConfigError(f"{name} must be {op} {bound}, got {value!r}")
         values[name] = value
     return values
 
@@ -537,6 +553,13 @@ def config_fields(cls):
     return {f.name: f.default if f.default is not MISSING else f.default_factory()
             if f.default_factory is not MISSING else get_type_hints(cls)[f.name]
             for f in fields(cls)}
+
+
+class Config:
+    """Base of a config dataclass: one built in code meets ``read_config``'s rules too."""
+
+    def __post_init__(self):
+        read_config(vars(self), config_fields(type(self)), type(self).__name__)
 
 
 def model_config(cls, block, **defaults):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volsynth import classifiers as clf
-from volsynth import cli, harness, nn
+from volsynth import cli, cvae, harness, nn
 from volsynth.cli import main as cli_main
 from volsynth.datasets import REAL, SYNTHETIC, make_blob_dataset
 from volsynth.harness import ExperimentConfig, aggregate
@@ -132,6 +132,70 @@ class TestConfigValidation:
         example = section[start:section.index("\n```", start)]
         configs = cli._cell_configs(json.loads(example), False)
         assert len(configs) == 2 + 2 + 3 * 2
+
+
+# the least value of each ranged field of a models block or a split, as README states them;
+# a field that must be above 0 maps to 0, which it may not take
+LEAST_VALUES = {"epochs": 1, "batch_size": 1, "max_iters": 1, "num_components": 1,
+                "critic_iters": 1, "latent_dim": 1, "z_dim": 1, "lambda_gp": 0, "k": 2,
+                "train_per_class": 1, "val_per_class": 0, "test_per_class": 1, "seed": 0,
+                "learning_rate": 0, "reg_c": 0}
+ABOVE_ZERO = ("learning_rate", "reg_c")
+# (models config class or split kind, field) of every field with a value rule
+RANGED_FIELDS = [(cls, name) for cls in harness.MODEL_CONFIGS.values()
+                 for name, default in nn.config_fields(cls).items()
+                 if name in LEAST_VALUES or name == "dtype" or isinstance(default, tuple)]
+RANGED_FIELDS += [("kfold", "k")] + [("fixed", name) for name in harness.SPLIT_FIELDS["fixed"]]
+
+
+def builds(where, name, value):
+    """Callables that make the config or block holding ``value`` in field ``name``: a
+    models config class built directly and through ``nn.model_config``, or a split kind
+    read through ``harness.read_kind_block``."""
+    if isinstance(where, str):
+        counts = {"train_per_class": 1, "test_per_class": 1} if where == "fixed" else {}
+        block = {"kind": where, **counts, name: value}
+        return [lambda: harness.read_kind_block("split", block, harness.SPLIT_FIELDS)]
+    block = {name: list(value) if isinstance(value, tuple) else value}
+    return [lambda: where(**{name: value}), lambda: nn.model_config(where, block)]
+
+
+class TestValueRules:
+    @pytest.mark.parametrize("where, name", RANGED_FIELDS,
+                             ids=[f"{getattr(w, '__name__', w)}.{n}" for w, n in RANGED_FIELDS])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_a_ranged_field_takes_its_least_value_and_rejects_one_below(self, where, name,
+                                                                         data):
+        """The least allowed value of a ranged field builds; a value below it, an empty
+        width list, one with an entry below 1 or a dtype that is no float raises
+        ConfigError naming the field, in every way the config or block is built."""
+        if name == "dtype":
+            allowed = st.sampled_from(["float32", "float64"])
+            below = st.text(max_size=8).filter(lambda s: s not in ("float32", "float64"))
+        elif name not in LEAST_VALUES:
+            allowed = st.just((1,)) | st.lists(st.integers(1, 9), min_size=1, max_size=3)
+            below = st.just(()) | st.lists(st.integers(-2, 9), min_size=1, max_size=3).filter(
+                lambda widths: min(widths) < 1)
+            allowed, below = allowed.map(tuple), below.map(tuple)
+        elif name in ABOVE_ZERO:
+            allowed = st.floats(0, 1, exclude_min=True) | st.sampled_from([1, 5e-324])
+            below = st.floats(-1e3, 0) | st.integers(-1000, 0)
+        else:
+            # the CVAE decoder's batchnorm needs two rows
+            least = 2 if (where, name) == (cvae.CVAEConfig, "batch_size") else LEAST_VALUES[name]
+            allowed = st.just(least)
+            below = st.integers(least - 1000, least - 1)
+            if name == "lambda_gp":
+                below = below | st.floats(-1e3, 0, exclude_max=True)
+        value = data.draw(allowed, label="allowed")
+        for build in builds(where, name, value):
+            config = build()
+            assert (config[name] if isinstance(config, dict) else getattr(config, name)) == value
+        value = data.draw(below, label="below")
+        for build in builds(where, name, value):
+            with pytest.raises(nn.ConfigError, match=name):
+                build()
 
 
 class TestSplits:
@@ -431,6 +495,12 @@ class TestCLI:
         ("train-cvae", {"epochs": "2"}, "error: epochs must be an integer, got '2'"),
         ("train-gan", [1], "error: GANConfig must be a JSON object, got [1]"),
         ("augment-eval", [1], "error: config must be a JSON object, got [1]"),
+        ("train-cvae", {"epochs": 0}, "error: epochs must be >= 1, got 0"),
+        ("train-cvae", {"enc_channels": []},
+         "error: enc_channels must be a non-empty list of integers >= 1, got []"),
+        ("train-gan", {"dtype": "int8"},
+         "error: dtype must be in ('float32', 'float64'), got 'int8'"),
+        ("train-gan", {"learning_rate": -0.01}, "error: learning_rate must be > 0, got -0.01"),
     ])
     def test_a_config_that_is_no_object_or_holds_a_wrong_type_exits_1(
             self, tmp_path, capsys, command, config, message):
@@ -611,18 +681,31 @@ class TestCLI:
          "error: dims (8, 8, 8) collapse below 1 within 4 conv layers"),
         # range checks of the model blocks, which every cell builds
         ({"models": {"dnn": {"batch_size": 0}}},
-         "error: batch_size and epochs must be >= 1, got batch_size=0, epochs=30"),
+         "error: batch_size must be >= 1, got 0"),
         ({"models": {"dnn": {"epochs": 0}}},
-         "error: batch_size and epochs must be >= 1, got batch_size=50, epochs=0"),
-        ({"models": {"dnn": {"channels": []}}}, "error: channels must be positive widths, got []"),
+         "error: epochs must be >= 1, got 0"),
+        ({"models": {"dnn": {"channels": []}}},
+         "error: channels must be a non-empty list of integers >= 1, got []"),
         ({"models": {"dnn": {"channels": [4, 0]}}},
-         "error: channels must be positive widths, got [4, 0]"),
+         "error: channels must be a non-empty list of integers >= 1, got [4, 0]"),
         ({"models": {"dnn": {"dtype": "int8"}}},
-         "error: dtype must be 'float32' or 'float64', got 'int8'"),
+         "error: dtype must be in ('float32', 'float64'), got 'int8'"),
         ({"models": {"svm": {"reg_c": 0}}},
-         "error: reg_c must be > 0 and epochs >= 1, got reg_c=0, epochs=300"),
+         "error: reg_c must be > 0, got 0"),
         ({"models": {"svm": {"epochs": 0}}},
-         "error: reg_c must be > 0 and epochs >= 1, got reg_c=1.0, epochs=0"),
+         "error: epochs must be >= 1, got 0"),
+        ({"regime": "real_synth", "generator": "gmm", "synth_per_class": 2,
+          "split": {"kind": "kfold", "k": 2, "min_class_size": 2},
+          "models": {"gmm": {"max_iters": 0}}}, "error: max_iters must be >= 1, got 0"),
+        ({"regime": "real_synth", "generator": "gmm", "synth_per_class": 2,
+          "split": {"kind": "kfold", "k": 2, "min_class_size": 2},
+          "models": {"gmm": {"seed": -1}}}, "error: seed must be >= 0, got -1"),
+        ({"regime": "real", "split": {"kind": "fixed", "train_per_class": 3,
+                                      "test_per_class": 0}},
+         "error: test_per_class must be >= 1, got 0"),
+        ({"regime": "real", "split": {"kind": "fixed", "train_per_class": 2,
+                                      "val_per_class": -1, "test_per_class": 2}},
+         "error: val_per_class must be >= 0, got -1"),
     ])
     def test_augment_eval_rejects_a_count_that_is_no_integer_before_making_out(
             self, tmp_path, capsys, change, message):
@@ -845,6 +928,40 @@ class TestOlderCheckpoints:
         draws = [np.stack([v.data for v in generator.sample(generator.load(p), 1, 5, 3)])
                  for p in (path, older)]
         assert draws[0].tobytes() == draws[1].tobytes()
+
+
+class TestOutOfRangeHeader:
+    @pytest.mark.parametrize("kind, change", [
+        ("cvae", {"enc_channels": []}), ("cvae", {"dtype": "int8"}),
+        ("icwgan", {"disc_channels": [3, 0]}), ("icwgan", {"dtype": "int8"}),
+    ])
+    def test_a_header_value_out_of_range_is_a_malformed_checkpoint(self, kind, change,
+                                                                   tmp_path, capsys):
+        """A header rewritten to hold a value its config rejects fails to load with
+        CheckpointError, and ``sample`` exits 1 before making ``--out``."""
+        data = tmp_path / "data"
+        assert cli_main(["synth-data", "--classes", "2", "--per-class", "4",
+                         "--dims", "8,8,8", "--out", str(data)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_BLOCKS[kind]))
+        path = tmp_path / "model.ckpt"
+        command = "train-gan" if kind == "icwgan" else "train-cvae"
+        assert cli_main([command, "--config", str(cfg), "--manifest",
+                         str(data / "manifest.csv"), "--out", str(path)]) == 0
+        header, newline, payload = path.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        doc["extra"].update(change)
+        path.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + newline + payload)
+        [name] = change
+        with pytest.raises(nn.CheckpointError, match=f"malformed checkpoint .*{name}"):
+            harness.GENERATORS[kind].load(path)
+        capsys.readouterr()
+        out = tmp_path / "samples"
+        assert cli_main(["sample", "--checkpoint", str(path), "--class-index", "0",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed checkpoint") and name in err
+        assert not out.exists()
 
 
 class TestCheckpointRoundTrip:
