@@ -107,6 +107,7 @@ class DNNClassifier(nn.Module):
 
     def __init__(self, dims, num_classes, config, rng):
         self.num_classes = num_classes
+        self.config = config
         self.tower = nn.ConvTower(dims, 1, config.channels, rng, "clf")
         self.head = nn.Dense(self.tower.out_features, num_classes, rng, "clf.head")
         self.cast(config.dtype)

@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import classifiers as clf
 from . import cvae as cvae_mod
 from . import gmm as gmm_mod
 from . import harness
@@ -37,10 +36,9 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _config_from_args(cls, args):
-    """``cls`` from the ``--config`` JSON block (if any) and ``--seed``."""
-    return nn.model_config(cls, _load_json(args.config) if args.config else {},
-                           seed=args.seed)
+def _models_from_args(kind, args):
+    """A ``models`` dict holding the ``--config`` JSON block (if any) as ``kind``'s."""
+    return {kind: _load_json(args.config)} if args.config else {}
 
 
 def cmd_synth_data(args):
@@ -85,7 +83,7 @@ def cmd_train_gmm(args):
 
 def cmd_train_cvae(args):
     dataset = load_dataset(args.manifest)
-    config = _config_from_args(cvae_mod.CVAEConfig, args)
+    config = harness.model_config("cvae", _models_from_args("cvae", args), args.seed)
     model, history = cvae_mod.train_cvae(dataset, config)
     cvae_mod.save_cvae(model, args.out)
     last = history.epochs[-1]
@@ -95,7 +93,7 @@ def cmd_train_cvae(args):
 
 def cmd_train_gan(args):
     dataset = load_dataset(args.manifest)
-    config = _config_from_args(gan_mod.GANConfig, args)
+    config = harness.model_config("icwgan", _models_from_args("icwgan", args), args.seed)
     gen, disc, log = gan_mod.train_icwgan(dataset, config)
     gan_mod.save_gan(gen, disc, args.out, dataset.dims, dataset.num_classes, config)
     if args.log:
@@ -121,17 +119,15 @@ def cmd_sample(args):
 
 def cmd_train_clf(args):
     dataset = load_dataset(args.manifest)
-    block = _load_json(args.config) if args.config else {}
-    mask = None
-    if args.kind == "svm":
-        mask = compute_mask(dataset.volumes, strategy=args.mask_strategy)
-    model = harness.fit_classifier(args.kind, {args.kind: block}, dataset, mask, args.seed)
+    mask = compute_mask(dataset.volumes, strategy=args.mask_strategy) \
+        if args.kind == "svm" else None
+    model = harness.fit_classifier(args.kind, _models_from_args(args.kind, args), dataset,
+                                   mask, args.seed)
     if args.kind == "dnn":
-        config = nn.model_config(clf.DNNConfig, block)
         extra = {"kind": "dnn_classifier", "dims": list(dataset.dims),
                  "num_classes": dataset.num_classes,
-                 "channels": list(config.channels), "dtype": config.dtype}
-        nn.save_checkpoint(args.out, nn.state_arrays(model), precision=config.dtype,
+                 "channels": list(model.config.channels), "dtype": model.config.dtype}
+        nn.save_checkpoint(args.out, nn.state_arrays(model), precision=model.config.dtype,
                            extra=extra)
     else:
         arrays = {"weights": model.weights, "biases": model.biases,

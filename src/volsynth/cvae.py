@@ -120,18 +120,16 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
 
     Without a validation set the final epoch's parameters are kept.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
+    train_indices = np.arange(len(dataset)) if train_indices is None else np.asarray(train_indices)
+    if train_indices.size < 2:
+        raise ValueError(f"CVAE training needs at least 2 volumes (decoder batchnorm), "
+                         f"got {train_indices.size}")
     dtype = np.dtype(config.dtype).type
     rng = np.random.default_rng(config.seed)
     model = CVAE(dataset.dims, dataset.num_classes, config, rng)
     params = model.parameters()
     adam = nn.AdamState(config.learning_rate)
 
-    if train_indices is None:
-        train_indices = np.arange(len(dataset))
-    else:
-        train_indices = np.asarray(train_indices)
     volumes = dataset.stack(dtype=dtype)
     labels = one_hot(dataset.labels, dataset.num_classes, dtype=dtype)
 

@@ -72,6 +72,18 @@ def unused_regime_fields(regime):
             if regime not in REGIMES or name not in REGIME_FIELDS[regime]}
 
 
+def model_config(kind, models, seed):
+    """``kind``'s config from its block in ``models`` (every field but ``seed``) and the
+    caller's ``seed``: a unit's phase seed in a sweep, ``--seed`` in a ``train-*`` command."""
+    if kind not in MODEL_CONFIGS:
+        raise ConfigError(f"unknown models block {kind!r}; expected one of {tuple(MODEL_CONFIGS)}")
+    cls, block = MODEL_CONFIGS[kind], models.get(kind, {})
+    if isinstance(block, dict) and "seed" in block:
+        raise ConfigError(f"{kind} blocks may not set seed: a model's seed comes from the "
+                          f"sweep's seed, fold and repeat, or from --seed")
+    return nn.model_config(cls, block, **({"seed": seed} if hasattr(cls, "seed") else {}))
+
+
 def read_kind_block(name, block, kind_fields, default_kind=None):
     """A ``dataset`` or ``split`` block (a dict) with its kind's defaults filled in."""
     kind = block.get("kind", default_kind)
@@ -113,11 +125,8 @@ class ExperimentConfig(nn.Config):
                 raise ConfigError(f"{self.regime} requires {name} > 0")
         read_kind_block("dataset", self.dataset, DATASET_FIELDS)
         read_kind_block("split", self.split, SPLIT_FIELDS, "kfold")
-        for kind, block in self.models.items():
-            if kind not in MODEL_CONFIGS:
-                raise ConfigError(
-                    f"unknown models block {kind!r}; expected one of {tuple(MODEL_CONFIGS)}")
-            nn.model_config(MODEL_CONFIGS[kind], block)
+        for kind in self.models:
+            model_config(kind, self.models, self.seed)
 
     from_dict = classmethod(nn.model_config)
 
@@ -214,20 +223,17 @@ class GeneratorKind(NamedTuple):
 GENERATORS = {
     "gmm": GeneratorKind(
         fit=lambda dataset, idx, models, seed, mask: gmm_mod.fit_class_gmms(
-            dataset, mask, nn.model_config(gmm_mod.EMConfig, models.get("gmm", {}), seed=seed),
-            indices=idx),
+            dataset, mask, model_config("gmm", models, seed), indices=idx),
         sample=lambda model, c, count, seed: model.sample_volumes(c, count, seed),
         load=lambda path: gmm_mod.load_gmm(path)),
     "cvae": GeneratorKind(
         fit=lambda dataset, idx, models, seed, mask: cvae_mod.train_cvae(
-            dataset.subset(idx),
-            nn.model_config(cvae_mod.CVAEConfig, models.get("cvae", {}), seed=seed))[0],
+            dataset.subset(idx), model_config("cvae", models, seed))[0],
         sample=lambda model, c, count, seed: cvae_mod.sample_cvae(model, c, count, seed),
         load=lambda path: cvae_mod.load_cvae(path)[0]),
     "icwgan": GeneratorKind(
         fit=lambda dataset, idx, models, seed, mask: gan_mod.train_icwgan(
-            dataset.subset(idx),
-            nn.model_config(gan_mod.GANConfig, models.get("icwgan", {}), seed=seed))[0],
+            dataset.subset(idx), model_config("icwgan", models, seed))[0],
         sample=lambda gen, c, count, seed: gan_mod.sample_gan(gen, c, count, seed),
         load=lambda path: gan_mod.load_gan(path)[0]),
 }
@@ -334,11 +340,10 @@ def fit_classifier(kind, models, train, mask, seed, val=None):
     The SVM learns from the voxels under ``mask`` and keeps that mask; the DNN
     keeps its best epoch on ``val`` when that is given, else its last.
     """
+    cfg = model_config(kind, models, seed)
     if kind == "svm":
-        cfg = nn.model_config(clf.SVMConfig, models.get("svm", {}))
         features = np.asarray([apply_mask(v, mask) for v in train.volumes])
         return clf.train_svm(features, train.labels, cfg.reg_c, cfg.epochs, mask=mask)
-    cfg = nn.model_config(clf.DNNConfig, models.get("dnn", {}), seed=seed)
     model, _ = clf.train_dnn_classifier(
         train.stack(np.float32), train.labels, cfg, num_classes=train.num_classes,
         val_volumes=None if val is None else val.stack(np.float32),
@@ -387,7 +392,7 @@ def plan_units(config, dataset):
     cells = _cells_for_split(dataset, config.split, config.seed)
     for kind in (config.classifier, config.generator):
         if kind in CONV_CHANNELS:   # dims that collapse within the block's tower fail here
-            block = nn.model_config(MODEL_CONFIGS[kind], config.models.get(kind, {}))
+            block = model_config(kind, config.models, config.seed)
             nn.conv_schedule(dataset.dims, len(getattr(block, CONV_CHANNELS[kind])))
     for fold, (train_idx, val_idx, test_idx) in enumerate(cells):
         for a, b, what in ((train_idx, val_idx, "train/val"),

@@ -180,11 +180,8 @@ class GANTrainLog:
 def train_icwgan(dataset, config):
     """Alternate critic_iters critic steps with one generator step."""
     n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if config.batch_size > n:
-        raise ValueError(
-            f"batch size {config.batch_size} exceeds dataset size {n}")
+    if config.batch_size > n:   # also an empty dataset
+        raise ValueError(f"batch size {config.batch_size} exceeds dataset size {n}")
     dtype = np.dtype(config.dtype).type
     rng = np.random.default_rng(config.seed)
     dims = dataset.dims

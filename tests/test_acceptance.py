@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 
+from gradcheck import grad_check
+
 from volsynth import autodiff as ad
 from volsynth import classifiers as clf
 from volsynth import cvae as cvae_mod
@@ -39,7 +41,7 @@ def test_criterion_1_autodiff_soundness(rng):
         # differences straddling an activation kink contaminate coordinates
         # by ~1e-9 here, while genuine backward-rule bugs err at the gradient
         # scale; op-level checks below run without the floor
-        report = nn.grad_check(build, params, tolerance=1e-4,
+        report = grad_check(build, params, tolerance=1e-4,
                                noise_floor=noise_floor)
         if not report.passed:
             failures.append(f"{tag}: {report.max_rel_error:.2e}")

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
+
 from volsynth import autodiff as ad
-from volsynth import nn
 from volsynth.autodiff import Tensor
 
 
@@ -58,7 +59,7 @@ class TestOpGradients:
     """Every differentiable op against finite differences (64-bit, step 1e-5)."""
 
     def check(self, build, params, tol=1e-4):
-        report = nn.grad_check(build, params, tolerance=tol)
+        report = grad_check(build, params, tolerance=tol)
         assert report.passed, str(report)
 
     def test_conv3d(self, rng):
@@ -189,7 +190,7 @@ class TestGradCheckHarness:
             "b": Tensor(rng.normal(size=2), requires_grad=True),
         }
         x = rng.normal(size=(4, 3))
-        report = nn.grad_check(
+        report = grad_check(
             lambda p: ad.tsum(ad.tanh(ad.dense(Tensor(x), p["w"], p["b"]))), params,
             tolerance=1e-6)
         assert report.passed
@@ -198,8 +199,8 @@ class TestGradCheckHarness:
     def test_report_is_deterministic(self, rng):
         params = {"w": Tensor(rng.normal(size=(2, 2)), requires_grad=True)}
         build = lambda p: ad.tsum(ad.sigmoid(p["w"]))
-        r1 = nn.grad_check(build, params)
-        r2 = nn.grad_check(build, params)
+        r1 = grad_check(build, params)
+        r2 = grad_check(build, params)
         assert r1.entries[0].max_rel_error == r2.entries[0].max_rel_error
 
     def test_corrupted_backward_rule_is_flagged(self, rng):
@@ -214,7 +215,7 @@ class TestGradCheckHarness:
             return ad._make(out_data, (a,), backward)
 
         params = {"w": Tensor(rng.normal(size=(3, 3)) + 0.5, requires_grad=True)}
-        report = nn.grad_check(lambda p: ad.tsum(broken_tanh(p["w"])), params)
+        report = grad_check(lambda p: ad.tsum(broken_tanh(p["w"])), params)
         failures = report.failures()
         assert failures and failures[0].name == "w"
         assert failures[0].worst_index is not None

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
+
 from volsynth import autodiff as ad
 from volsynth import cvae, nn
 from volsynth.autodiff import Tensor
@@ -282,5 +284,5 @@ class TestFullGraphGradient:
 
         # absolute floor 1e-6: finite differences near relu kinks leave
         # ~1e-9 dust on tiny-gradient coordinates of composite graphs
-        report = nn.grad_check(build, params, tolerance=1e-4, noise_floor=1e-6)
+        report = grad_check(build, params, tolerance=1e-4, noise_floor=1e-6)
         assert report.passed, str(report)

@@ -501,6 +501,10 @@ class TestCLI:
         ("train-gan", {"dtype": "int8"},
          "error: dtype must be in ('float32', 'float64'), got 'int8'"),
         ("train-gan", {"learning_rate": -0.01}, "error: learning_rate must be > 0, got -0.01"),
+        # a model's seed is --seed, never the block's
+        ("train-cvae", {"seed": 5}, "error: cvae blocks may not set seed"),
+        ("train-gan", {"seed": 5}, "error: icwgan blocks may not set seed"),
+        ("train-clf", {"seed": 5}, "error: dnn blocks may not set seed"),
     ])
     def test_a_config_that_is_no_object_or_holds_a_wrong_type_exits_1(
             self, tmp_path, capsys, command, config, message):
@@ -512,7 +516,38 @@ class TestCLI:
         out = tmp_path / "out"
         manifest = [] if command == "augment-eval" else ["--manifest", str(data / "manifest.csv")]
         assert self.run_cli(command, *manifest, "--config", str(cfg), "--out", str(out)) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_cvae_with_one_config_draws_its_model_from_the_seed_flag(self, tmp_path):
+        """The same --config block and two --seed values give two different checkpoints."""
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "2", "--per-class", "4",
+                            "--dims", "8,8,8", "--out", str(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_BLOCKS["cvae"]))
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"cvae{seed}.ckpt"
+            assert self.run_cli("train-cvae", "--manifest", str(data / "manifest.csv"),
+                                "--config", str(cfg), "--seed", seed, "--out", str(out)) == 0
+            written.append(out.read_bytes())
+        assert written[0] != written[1]
+
+    def test_train_cvae_on_one_volume_exits_1_without_a_checkpoint(self, tmp_path, capsys):
+        """One volume makes no batch of two, so no step could be taken."""
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "1", "--per-class", "1",
+                            "--dims", "8,8,8", "--out", str(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_BLOCKS["cvae"]))
+        out = tmp_path / "cvae.ckpt"
+        capsys.readouterr()
+        assert self.run_cli("train-cvae", "--manifest", str(data / "manifest.csv"),
+                            "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CVAE training needs at least 2 volumes")
         assert not out.exists()
 
     def test_augment_eval_and_report_deterministic(self, tmp_path):
@@ -699,13 +734,19 @@ class TestCLI:
           "models": {"gmm": {"max_iters": 0}}}, "error: max_iters must be >= 1, got 0"),
         ({"regime": "real_synth", "generator": "gmm", "synth_per_class": 2,
           "split": {"kind": "kfold", "k": 2, "min_class_size": 2},
-          "models": {"gmm": {"seed": -1}}}, "error: seed must be >= 0, got -1"),
+          "models": {"gmm": {"seed": -1}}}, "error: gmm blocks may not set seed"),
         ({"regime": "real", "split": {"kind": "fixed", "train_per_class": 3,
                                       "test_per_class": 0}},
          "error: test_per_class must be >= 1, got 0"),
         ({"regime": "real", "split": {"kind": "fixed", "train_per_class": 2,
                                       "val_per_class": -1, "test_per_class": 2}},
          "error: val_per_class must be >= 0, got -1"),
+        # a unit's model seeds come from the document's seed, its fold and its repeat
+        *[({"regime": "real_synth", "generator": kind, "synth_per_class": 2,
+            "models": {kind: {"seed": 3}}}, f"error: {kind} blocks may not set seed")
+          for kind in ("gmm", "cvae", "icwgan")],
+        ({"classifier": "dnn", "models": {"dnn": {"seed": 3}}},
+         "error: dnn blocks may not set seed"),
     ])
     def test_augment_eval_rejects_a_count_that_is_no_integer_before_making_out(
             self, tmp_path, capsys, change, message):
@@ -961,6 +1002,44 @@ class TestOutOfRangeHeader:
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed checkpoint") and name in err
+        assert not out.exists()
+
+
+class TestMalformedGMMCheckpoint:
+    @pytest.mark.parametrize("header, change, message", [
+        ({"feature_dim": 511}, {}, "feature_dim 511 but the mask keeps 512 voxels"),
+        ({}, {"mask": lambda m: 0 * m}, "feature_dim 512 but the mask keeps 0 voxels"),
+        ({"K": 3}, {}, "class 0 needs 3 weights"),
+        ({}, {"class_1.means": lambda m: m[:, :-1]},
+         "class 1 needs 2 weights >= 0 that sum to 1, and 2 x 512 means and variances > 0"),
+        ({}, {"class_0.weights": lambda w: np.array([1.5, -0.5])}, "class 0 needs"),
+        ({}, {"class_1.weights": lambda w: 0.5 * w}, "class 1 needs"),
+        ({}, {"class_0.variances": lambda v: -v}, "class 0 needs"),
+    ])
+    def test_a_payload_that_does_not_fit_its_header_is_a_malformed_checkpoint(
+            self, header, change, message, tmp_path, capsys):
+        """A GMM checkpoint whose feature width, array shapes, weights or variances
+        break the mixture fails to load with CheckpointError, and ``sample`` exits 1
+        before making ``--out``."""
+        data = tmp_path / "data"
+        assert cli_main(["synth-data", "--classes", "2", "--per-class", "4",
+                         "--dims", "8,8,8", "--out", str(data)]) == 0
+        path = tmp_path / "gmm.ckpt"
+        assert cli_main(["train-gmm", "--manifest", str(data / "manifest.csv"),
+                         "--components", "2", "--out", str(path)]) == 0
+        arrays, extra = nn.load_checkpoint(path)
+        assert extra["feature_dim"] == 512 and extra["K"] == 2
+        extra.update(header)
+        arrays.update({name: rewrite(arrays[name]) for name, rewrite in change.items()})
+        nn.save_checkpoint(path, arrays, extra=extra)
+        with pytest.raises(nn.CheckpointError, match="malformed checkpoint"):
+            harness.GENERATORS["gmm"].load(path)
+        capsys.readouterr()
+        out = tmp_path / "samples"
+        assert cli_main(["sample", "--checkpoint", str(path), "--class-index", "0",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed checkpoint {path}") and message in err
         assert not out.exists()
 
 

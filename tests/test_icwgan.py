@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
+
 from volsynth import autodiff as ad
 from volsynth import harness, icwgan, nn
 from volsynth.autodiff import Tensor
@@ -64,7 +66,7 @@ class TestLabelProjection:
         y = one_hot(np.array([0, 2]), 3)
         probe = rng.normal(size=(2, 1, 2, 2, 2))
         params = {"w": proj.weight, "b": proj.bias}
-        report = nn.grad_check(
+        report = grad_check(
             lambda p: ad.tsum(proj(Tensor(y)) * Tensor(probe)), params)
         assert report.passed, str(report)
 
@@ -338,7 +340,7 @@ class TestGradientPenalty:
         for name in zero_names:
             assert np.array_equal(grads[name], np.zeros_like(grads[name])), name
         checked = {n: p for n, p in params.items() if n not in zero_names}
-        report = nn.grad_check(
+        report = grad_check(
             lambda p: icwgan.gradient_penalty(disc, x_hat, y), checked,
             tolerance=1e-4, noise_floor=1e-6)
         assert report.passed, str(report)
@@ -400,7 +402,7 @@ class TestLosses:
         z = Tensor(local.normal(size=(2, 3)))
         eps = local.uniform(size=2)
         params = disc.parameters()
-        report = nn.grad_check(
+        report = grad_check(
             lambda p: icwgan.critic_loss(disc, gen, x, y, z, eps,
                                          config.lambda_gp, training=False)[0],
             params, tolerance=1e-4, noise_floor=1e-6)
@@ -416,7 +418,7 @@ class TestLosses:
         y = Tensor(one_hot(np.array([0, 1]), 2))
         z = Tensor(local.normal(size=(2, 3)))
         params = gen.parameters()
-        report = nn.grad_check(
+        report = grad_check(
             lambda p: icwgan.generator_loss(disc, gen, y, z, training=False),
             params, tolerance=1e-4, noise_floor=1e-6)
         assert report.passed, str(report)
