@@ -65,6 +65,8 @@ def train_svm(features, labels, reg_c=SVMConfig.reg_c, epochs=SVMConfig.epochs, 
     y = np.asarray(labels, dtype=int)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"features {x.shape} and labels {y.shape} are inconsistent")
+    if x.shape[1] == 0:
+        raise ValueError("SVM training needs at least one feature; the mask keeps no voxel")
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("SVM training needs at least two classes")

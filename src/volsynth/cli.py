@@ -288,8 +288,10 @@ def main(argv=None):
         return exc.code
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, nn.CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError) as exc:
+        # a KeyError's str() quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -174,6 +174,8 @@ class ClassGMM:
 
 def fit_class_gmms(dataset, mask, config, indices=None):
     """Train one mixture per class present among ``indices`` (default: all)."""
+    if mask.valid_count == 0:
+        raise ValueError("GMM training needs at least one feature; the mask keeps no voxel")
     if indices is None:
         indices = range(len(dataset))
     features_by_class = {}

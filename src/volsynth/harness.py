@@ -273,11 +273,8 @@ class RunReport:
 def aggregate(entries):
     """Means over all cells; population variance across fold means.
 
-    ``entries`` is a {(fold, repeat): MetricsReport} mapping or a plain list
-    of MetricsReport treated as one fold per entry.
+    ``entries`` is a {(fold, repeat): MetricsReport} mapping.
     """
-    if isinstance(entries, (list, tuple)):
-        entries = {(i, 0): rep for i, rep in enumerate(entries)}
     if not entries:
         raise ValueError("aggregate requires at least one report")
     out = {"mean": {}, "variance": {}}

@@ -29,12 +29,13 @@ from .datasets import one_hot
 
 # Adam's (beta1, beta2) for the generator and the critic
 ADAM_BETAS = (0.5, 0.9)
+# the gradient penalty's weight lambda in the critic objective
+LAMBDA_GP = 10.0
 
 
 @dataclass
 class GANConfig(nn.Config):
     z_dim: int = 128
-    lambda_gp: float = 10.0
     critic_iters: int = 5
     batch_size: int = 50
     learning_rate: float = 1e-4
@@ -82,18 +83,6 @@ class Discriminator(nn.Module):
         flat, pres = self.tower.forward(x, terms)
         return self.head(flat), pres
 
-    def score_and_input_grad(self, x, y):
-        """Critic scores plus the per-sample gradient of the score w.r.t. x.
-
-        The gradient is an explicit graph over the critic parameters: the
-        backward sweep is composed from transposed convolutions and the
-        (piecewise-constant) leaky-ReLU slope masks, so downstream losses can
-        differentiate through it.
-        """
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        score, pres = self._forward_parts(x, self._label_terms(y))
-        return score, self._input_grad(x, pres)
-
     def critic_scores(self, fake, real, y, eps):
         """The critic objective's three passes: fake scores, real scores, and
         the input gradient at xhat = interpolate(real, fake, eps).
@@ -135,12 +124,6 @@ def interpolate(x_real, x_fake, eps):
     if np.any(eps < 0) or np.any(eps > 1):
         raise ValueError("interpolation draws must lie in [0,1]")
     return Tensor(eps * xr + (1.0 - eps) * xf)
-
-
-def gradient_penalty(disc, x_hat, y):
-    """Mean of (||grad_xhat D(xhat|y)||_2 - 1)^2 over the batch."""
-    _, grad = disc.score_and_input_grad(x_hat, y)
-    return _unit_norm_penalty(grad)
 
 
 def _unit_norm_penalty(grad):
@@ -206,7 +189,7 @@ def train_icwgan(dataset, config):
             y = Tensor(labels[idx])
             z = Tensor(rng.standard_normal((idx.size, config.z_dim)).astype(dtype))
             eps = rng.uniform(0.0, 1.0, size=idx.size)
-            loss, penalty = critic_loss(disc, gen, x_real, y, z, eps, config.lambda_gp)
+            loss, penalty = critic_loss(disc, gen, x_real, y, z, eps, LAMBDA_GP)
             grads = ad.backward(loss, disc_params)
             nn.adam_step(disc_params, grads, disc_adam)
             step += 1

@@ -427,7 +427,7 @@ ACCEPTS = {bool: (bool, "true or false"), int: (Integral, "an integer"),
 VALUE_RULES = {**dict.fromkeys(("epochs", "batch_size", "max_iters", "num_components",
                                 "critic_iters", "latent_dim", "z_dim", "repeats",
                                 "train_per_class", "test_per_class"), (">=", 1)),
-               **dict.fromkeys(("lambda_gp", "val_per_class", "seed"), (">=", 0)),
+               **dict.fromkeys(("val_per_class", "seed"), (">=", 0)),
                "k": (">=", 2), "learning_rate": (">", 0), "reg_c": (">", 0),
                "dtype": ("in", ("float32", "float64"))}
 

@@ -116,7 +116,7 @@ def test_criterion_1_autodiff_soundness(rng):
     eps_mix = graph_rng.uniform(size=2)
     run("gan critic loss graph",
         lambda q: icwgan.critic_loss(disc, gen, xg, yg, zg, eps_mix,
-                                     gan_config.lambda_gp, training=False)[0],
+                                     icwgan.LAMBDA_GP, training=False)[0],
         disc.parameters(), noise_floor=1e-6)
     run("gan generator loss graph",
         lambda q: icwgan.generator_loss(disc, gen, yg, zg, training=False),
@@ -244,17 +244,16 @@ def test_criterion_4_cvae(constant_volume_training, rng):
 
 def test_criterion_5_gradient_penalty(rng):
     t0 = time.time()
-    from test_icwgan import LinearCritic
+    from test_icwgan import LinearCritic, penalty_at
 
+    # the penalty critic_loss returns, with eps = 1 so that xhat is the real batch
     w = rng.normal(size=64)
     w /= np.linalg.norm(w)
-    unit = icwgan.gradient_penalty(LinearCritic(w), Tensor(rng.uniform(size=(3, 1, 4, 4, 4))),
-                                   None).item()
+    unit = penalty_at(LinearCritic(w), Tensor(rng.uniform(size=(3, 1, 4, 4, 4))), None).item()
 
     voxels = 64
-    const = icwgan.gradient_penalty(LinearCritic(np.full(voxels, 2.0)),
-                                    Tensor(rng.uniform(size=(2, 1, 4, 4, 4))),
-                                    None).item()
+    const = penalty_at(LinearCritic(np.full(voxels, 2.0)),
+                       Tensor(rng.uniform(size=(2, 1, 4, 4, 4))), None).item()
     const_expected = (2.0 * np.sqrt(voxels) - 1.0) ** 2
 
     config = icwgan.GANConfig(z_dim=5, gen_channels=(4, 3, 2), disc_channels=(2, 3, 4),
@@ -266,10 +265,10 @@ def test_criterion_5_gradient_penalty(rng):
     loss, _ = icwgan.critic_loss(disc, gen, Tensor(rng.uniform(size=(3, 1, 8, 8, 8))),
                                  Tensor(one_hot(np.array([0, 1, 2]), 3)),
                                  Tensor(rng.normal(size=(3, 5))),
-                                 np.full(3, 0.5), config.lambda_gp)
+                                 np.full(3, 0.5), icwgan.LAMBDA_GP)
     elapsed = time.time() - t0
     verdict(5, unit <= 1e-10 and abs(const - const_expected) <= 1e-10
-            and abs(loss.item() - config.lambda_gp) <= 1e-12 and elapsed <= 60,
+            and abs(loss.item() - icwgan.LAMBDA_GP) <= 1e-12 and elapsed <= 60,
             f"unit-norm penalty {unit:.1e}, constant-gradient exact, "
             f"zero-critic loss == lambda ({elapsed:.1f}s)")
 

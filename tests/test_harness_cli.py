@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from volsynth import classifiers as clf
 from volsynth import cli, cvae, harness, nn
 from volsynth.cli import main as cli_main
-from volsynth.datasets import REAL, SYNTHETIC, make_blob_dataset
+from volsynth.datasets import REAL, SYNTHETIC, VolumeDataset, make_blob_dataset, \
+    save_dataset
 from volsynth.harness import ExperimentConfig, aggregate
 from volsynth.volumes import apply_mask
 
@@ -137,7 +138,7 @@ class TestConfigValidation:
 # the least value of each ranged field of a models block or a split, as README states them;
 # a field that must be above 0 maps to 0, which it may not take
 LEAST_VALUES = {"epochs": 1, "batch_size": 1, "max_iters": 1, "num_components": 1,
-                "critic_iters": 1, "latent_dim": 1, "z_dim": 1, "lambda_gp": 0, "k": 2,
+                "critic_iters": 1, "latent_dim": 1, "z_dim": 1, "k": 2,
                 "train_per_class": 1, "val_per_class": 0, "test_per_class": 1, "seed": 0,
                 "learning_rate": 0, "reg_c": 0}
 ABOVE_ZERO = ("learning_rate", "reg_c")
@@ -186,8 +187,6 @@ class TestValueRules:
             least = 2 if (where, name) == (cvae.CVAEConfig, "batch_size") else LEAST_VALUES[name]
             allowed = st.just(least)
             below = st.integers(least - 1000, least - 1)
-            if name == "lambda_gp":
-                below = below | st.floats(-1e3, 0, exclude_max=True)
         value = data.draw(allowed, label="allowed")
         for build in builds(where, name, value):
             config = build()
@@ -258,13 +257,13 @@ class TestAggregate:
         assert agg["variance"]["accuracy"] == 0.0
 
     def test_hand_computed_fold_variance(self):
-        reports = [self.make_report(a) for a in (0.8, 0.9, 1.0)]
+        reports = {(i, 0): self.make_report(a) for i, a in enumerate((0.8, 0.9, 1.0))}
         agg = aggregate(reports)
         assert agg["mean"]["accuracy"] == pytest.approx(0.9, abs=1e-12)
         assert agg["variance"]["accuracy"] == pytest.approx(0.02 / 3, abs=1e-12)
 
     def test_single_run_aggregate_is_that_run(self):
-        agg = aggregate([self.make_report(0.6)])
+        agg = aggregate({(0, 0): self.make_report(0.6)})
         assert agg["mean"]["accuracy"] == 0.6
         assert agg["variance"]["accuracy"] == 0.0
 
@@ -548,6 +547,35 @@ class TestCLI:
                             "--config", str(cfg), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: CVAE training needs at least 2 volumes")
+        assert not out.exists()
+
+    def test_train_gmm_whose_mask_keeps_no_voxel_exits_1_without_a_checkpoint(
+            self, tmp_path, capsys):
+        """One volume varies in no voxel, so the nonconstant mask keeps none."""
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "1", "--per-class", "1",
+                            "--dims", "8,8,8", "--out", str(data)) == 0
+        out = tmp_path / "gmm.ckpt"
+        capsys.readouterr()
+        assert self.run_cli("train-gmm", "--manifest", str(data / "manifest.csv"),
+                            "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: GMM training needs at least one feature; the mask keeps no voxel\n")
+        assert not out.exists()
+
+    def test_train_svm_whose_mask_keeps_no_voxel_exits_1_without_a_checkpoint(
+            self, tmp_path, capsys):
+        """Two classes of one identical volume vary in no voxel."""
+        volume = make_blob_dataset(1, 1, (8, 8, 8), seed=0).volumes[0]
+        data = tmp_path / "data"
+        save_dataset(VolumeDataset([volume.copy() for _ in range(4)], [0, 0, 1, 1],
+                                   ["a", "b"]), str(data))
+        out = tmp_path / "svm.ckpt"
+        capsys.readouterr()
+        assert self.run_cli("train-clf", "--kind", "svm", "--manifest",
+                            str(data / "manifest.csv"), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: SVM training needs at least one feature; the mask keeps no voxel\n")
         assert not out.exists()
 
     def test_augment_eval_and_report_deterministic(self, tmp_path):
@@ -893,22 +921,29 @@ TINY_BLOCKS = {
 }
 
 
+def train_tiny(kind, tmp_path, classes=2):
+    """The path of a ``kind`` checkpoint that its ``train-*`` command wrote from
+    TINY_BLOCKS, trained on a blob dataset of 4 volumes per class at 8^3."""
+    data = tmp_path / "data"
+    assert cli_main(["synth-data", "--classes", str(classes), "--per-class", "4",
+                     "--dims", "8,8,8", "--out", str(data)]) == 0
+    path = tmp_path / "model.ckpt"
+    argv = ["--manifest", str(data / "manifest.csv"), "--out", str(path)]
+    if TINY_BLOCKS[kind] is None:
+        assert cli_main(["train-gmm"] + argv) == 0
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_BLOCKS[kind]))
+        command = "train-gan" if kind == "icwgan" else "train-cvae"
+        assert cli_main([command, "--config", str(cfg)] + argv) == 0
+    return path
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("kind", sorted(TINY_BLOCKS))
     def test_header_bit_flip_or_truncation_loads_or_raises_checkpoint_error(
             self, kind, tmp_path):
-        data = tmp_path / "data"
-        assert cli_main(["synth-data", "--classes", "2", "--per-class", "4",
-                         "--dims", "8,8,8", "--out", str(data)]) == 0
-        path = tmp_path / "model.ckpt"
-        argv = ["--manifest", str(data / "manifest.csv"), "--out", str(path)]
-        if TINY_BLOCKS[kind] is None:
-            assert cli_main(["train-gmm"] + argv) == 0
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(TINY_BLOCKS[kind]))
-            command = "train-gan" if kind == "icwgan" else "train-cvae"
-            assert cli_main([command, "--config", str(cfg)] + argv) == 0
+        path = train_tiny(kind, tmp_path)
         good = path.read_bytes()
         load = harness.GENERATORS[kind].load
 
@@ -947,18 +982,7 @@ class TestOlderCheckpoints:
     @pytest.mark.parametrize("kind", sorted(TINY_BLOCKS))
     def test_a_header_with_the_removed_keys_loads_and_samples_the_same_bytes(
             self, kind, tmp_path):
-        data = tmp_path / "data"
-        assert cli_main(["synth-data", "--classes", "2", "--per-class", "4",
-                         "--dims", "8,8,8", "--out", str(data)]) == 0
-        path = tmp_path / "model.ckpt"
-        argv = ["--manifest", str(data / "manifest.csv"), "--out", str(path)]
-        if TINY_BLOCKS[kind] is None:
-            assert cli_main(["train-gmm"] + argv) == 0
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(TINY_BLOCKS[kind]))
-            command = "train-gan" if kind == "icwgan" else "train-cvae"
-            assert cli_main([command, "--config", str(cfg)] + argv) == 0
+        path = train_tiny(kind, tmp_path)
         header, newline, payload = path.read_bytes().partition(b"\n")
         doc = json.loads(header)
         assert not set(OLDER_HEADER_KEYS[kind]) & set(doc["extra"])
@@ -1093,3 +1117,20 @@ class TestSampleCLI:
         assert (samples / "classes.txt").read_text() == "class_0\nclass_1\n"
         assert cli_main(["train-gmm", "--manifest", str(samples / "manifest.csv"),
                          "--out", str(tmp_path / "again.ckpt")]) == 0
+
+    @pytest.mark.parametrize("kind, message", [
+        ("gmm", "class 3 is not trained; trained classes: [0]"),
+        ("cvae", "unknown class 3; model covers 0..0"),
+        ("icwgan", "unknown class 3; model covers 0..0"),
+    ], ids=["gmm", "cvae", "icwgan"])
+    def test_a_class_the_model_does_not_cover_exits_1_with_an_unquoted_error(
+            self, kind, message, tmp_path, capsys):
+        """The generators raise KeyError for a class they do not cover; ``sample``
+        prints its message as it is, without the quotes of a KeyError's str()."""
+        ckpt = train_tiny(kind, tmp_path, classes=1)
+        capsys.readouterr()
+        out = tmp_path / "samples"
+        assert cli_main(["sample", "--checkpoint", str(ckpt), "--class-index", "3",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -16,7 +16,7 @@ from volsynth.datasets import VolumeDataset, make_blob_dataset, one_hot
 from volsynth.volumes import Volume, normalize_minmax
 
 TINY = dict(z_dim=5, gen_channels=(4, 3, 2), disc_channels=(2, 3, 4),
-            batch_size=3, lambda_gp=10.0, dtype="float64")
+            batch_size=3, dtype="float64")
 
 
 @pytest.fixture
@@ -34,14 +34,22 @@ class LinearCritic:
         self.w = Tensor(np.asarray(w, dtype=np.float64).reshape(-1, 1),
                         requires_grad=True)
 
-    def score_and_input_grad(self, x, y):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        n = x.data.shape[0]
-        shape = x.data.shape
-        score = ad.dense(ad.flatten(x), self.w)
-        ones = Tensor(np.ones((n, 1)))
-        grad = ad.reshape(ad.dense(ones, ad.reshape(self.w, (1, -1))), shape)
-        return score, grad
+    def forward(self, x, y):
+        return ad.dense(ad.flatten(x), self.w)
+
+    def critic_scores(self, fake, real, y, eps):
+        x_hat = icwgan.interpolate(real, fake, eps)
+        ones = Tensor(np.ones((x_hat.data.shape[0], 1)))
+        grad = ad.reshape(ad.dense(ones, ad.reshape(self.w, (1, -1))), x_hat.data.shape)
+        return self.forward(fake, y), self.forward(real, y), grad
+
+
+def penalty_at(critic, x_hat, y):
+    """The penalty ``critic_loss`` returns when its interpolation lands on ``x_hat``: eps = 1
+    keeps the real volumes exactly, whatever the fixed fake ones are."""
+    n = x_hat.data.shape[0]
+    return icwgan.critic_loss(critic, FixedGenerator(np.zeros_like(x_hat.data)), x_hat, y,
+                              None, np.ones(n), icwgan.LAMBDA_GP)[1]
 
 
 class TestLabelProjection:
@@ -159,17 +167,17 @@ class TestPerClassLabelTerm:
         x = Tensor(rng.uniform(size=(batch, 1, 8, 8, 8)))
         fake = rng.uniform(size=(batch, 1, 8, 8, 8))
         y = Tensor(one_hot(rng.integers(0, num_classes, batch), num_classes))
+        eps = rng.uniform(size=batch)
 
         assert_close(disc.forward(x, y).data, ref.forward(x, y).data)
-        score, grad = disc.score_and_input_grad(x, y)
-        ref_score, ref_grad = ref.score_and_input_grad(x, y)
-        assert_close(score.data, ref_score.data)
-        assert_close(grad.data, ref_grad.data)
+        # fake scores, real scores and the input gradient at xhat
+        for out, ref_out in zip(disc.critic_scores(Tensor(fake), x, y, eps),
+                                ref.critic_scores(Tensor(fake), x, y, eps)):
+            assert_close(out.data, ref_out.data)
 
         params = disc.parameters()
-        eps = rng.uniform(size=batch)
         losses = [icwgan.critic_loss(critic, FixedGenerator(fake), x, y, None, eps,
-                                     config.lambda_gp)[0] for critic in (disc, ref)]
+                                     icwgan.LAMBDA_GP)[0] for critic in (disc, ref)]
         assert_close(losses[0].data, losses[1].data)
         grads, ref_grads = (ad.backward(loss, params) for loss in losses)
         # a gradient whose terms cancel to 0 keeps only rounding residue, so
@@ -206,7 +214,7 @@ class TestPerClassLabelTerm:
         y = Tensor(one_hot(np.array([0, 1, 1]), 2))
         z = Tensor(rng.normal(size=(batch, 3)))
         loss, _ = icwgan.critic_loss(disc, gen, x, y, z, rng.uniform(size=batch),
-                                     cfg.lambda_gp)
+                                     icwgan.LAMBDA_GP)
         ad.backward(loss, disc.parameters())
         assert shapes
         assert not widened & set(shapes), shapes
@@ -284,34 +292,41 @@ class TestInterpolate:
 
 
 class TestGradientPenalty:
+    """The penalty ``critic_loss`` returns, and the input gradient behind it."""
+
     def test_unit_norm_linear_critic_zero_penalty(self, rng):
         w = rng.normal(size=64)
         w /= np.linalg.norm(w)
         critic = LinearCritic(w)
         x_hat = Tensor(rng.uniform(size=(3, 1, 4, 4, 4)))
-        penalty = icwgan.gradient_penalty(critic, x_hat, None)
+        penalty = penalty_at(critic, x_hat, None)
         assert abs(penalty.item()) <= 1e-10
 
     def test_constant_gradient_critic_closed_form(self, rng):
         volume_elems = 4 * 4 * 4
         critic = LinearCritic(np.full(volume_elems, 2.0))
         x_hat = Tensor(rng.uniform(size=(2, 1, 4, 4, 4)))
-        penalty = icwgan.gradient_penalty(critic, x_hat, None)
+        penalty = penalty_at(critic, x_hat, None)
         expected = (2.0 * np.sqrt(volume_elems) - 1.0) ** 2
         assert penalty.item() == pytest.approx(expected, abs=1e-12)
 
     def test_penalty_nonnegative(self, models, rng):
         _, disc, _ = models
         for _ in range(5):
-            x_hat = Tensor(rng.uniform(size=(2, 1, 8, 8, 8)))
-            p = icwgan.gradient_penalty(disc, x_hat, np.array([0, 1]))
+            real, fake = rng.uniform(size=(2, 2, 1, 8, 8, 8))
+            _, p = icwgan.critic_loss(disc, FixedGenerator(fake), Tensor(real), np.array([0, 1]),
+                                      None, rng.uniform(size=2), icwgan.LAMBDA_GP)
             assert p.item() >= 0.0
 
-    def test_input_gradient_matches_fd(self, models, rng):
+    @pytest.mark.parametrize("eps", [[0.3, 0.7], [1.0, 1.0]], ids=["between", "at-real"])
+    def test_input_gradient_matches_fd(self, models, rng, eps):
+        """The gradient at xhat, strictly between the real and fake volumes and at the
+        real ones, against central differences of the critic's score there."""
         _, disc, _ = models
-        x_hat = rng.uniform(0.2, 0.8, size=(2, 1, 8, 8, 8))
+        real, fake = rng.uniform(0.2, 0.8, size=(2, 2, 1, 8, 8, 8))
         y = np.array([0, 2])
-        _, grad = disc.score_and_input_grad(Tensor(x_hat), y)
+        grad = disc.critic_scores(Tensor(fake), Tensor(real), y, eps)[2]
+        x_hat = icwgan.interpolate(real, fake, eps).data
         step = 1e-5
         for idx in [(0, 0, 1, 2, 3), (1, 0, 4, 4, 4), (0, 0, 7, 0, 7)]:
             up = x_hat.copy()
@@ -326,11 +341,16 @@ class TestGradientPenalty:
 
     def test_penalty_parameter_gradient_matches_fd(self, models, rng):
         _, disc, _ = models
-        x_hat = Tensor(rng.uniform(0.2, 0.8, size=(2, 1, 8, 8, 8)))
+        real, fake = rng.uniform(0.2, 0.8, size=(2, 2, 1, 8, 8, 8))
         y = np.array([1, 2])
+        eps = rng.uniform(size=2)
         params = disc.parameters()
-        penalty = icwgan.gradient_penalty(disc, x_hat, y)
-        grads = ad.backward(penalty, params)
+
+        def penalty(p):
+            return icwgan.critic_loss(disc, FixedGenerator(fake), Tensor(real), y, None, eps,
+                                      icwgan.LAMBDA_GP)[1]
+
+        grads = ad.backward(penalty(params), params)
         # biases and label projections reach the penalty only through the
         # piecewise-constant activation slopes, so their gradient is exactly
         # zero almost everywhere; finite differences at a kink would read a
@@ -340,23 +360,21 @@ class TestGradientPenalty:
         for name in zero_names:
             assert np.array_equal(grads[name], np.zeros_like(grads[name])), name
         checked = {n: p for n, p in params.items() if n not in zero_names}
-        report = grad_check(
-            lambda p: icwgan.gradient_penalty(disc, x_hat, y), checked,
-            tolerance=1e-4, noise_floor=1e-6)
+        report = grad_check(penalty, checked, tolerance=1e-4, noise_floor=1e-6)
         assert report.passed, str(report)
 
 
 class TestLosses:
     def test_zero_discriminator_critic_loss_equals_lambda(self, models, rng):
-        gen, disc, config = models
+        gen, disc, _ = models
         for p in disc.parameters().values():
             p.data = np.zeros_like(p.data)
         x = Tensor(rng.uniform(size=(3, 1, 8, 8, 8)))
         y = Tensor(one_hot(np.array([0, 1, 2]), 3))
         z = Tensor(rng.normal(size=(3, 5)))
         loss, _ = icwgan.critic_loss(disc, gen, x, y, z, np.full(3, 0.5),
-                                     config.lambda_gp)
-        assert loss.item() == pytest.approx(config.lambda_gp, abs=1e-12)
+                                     icwgan.LAMBDA_GP)
+        assert loss.item() == pytest.approx(icwgan.LAMBDA_GP, abs=1e-12)
         gloss = icwgan.generator_loss(disc, gen, y, z)
         assert gloss.item() == 0.0
 
@@ -372,19 +390,23 @@ class TestLosses:
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_matches_term_by_term_assembly(self, models, rng):
-        gen, disc, config = models
+        """The loss against scores of the critic's forward pass and a penalty on the
+        concatenated-label reference's input gradient, summed in numpy."""
+        gen, disc, _ = models
         x = Tensor(rng.uniform(size=(3, 1, 8, 8, 8)))
         y = Tensor(one_hot(np.array([0, 1, 2]), 3))
         z = Tensor(rng.normal(size=(3, 5)))
         eps = rng.uniform(size=3)
-        loss, penalty = icwgan.critic_loss(disc, gen, x, y, z, eps, config.lambda_gp,
+        loss, penalty = icwgan.critic_loss(disc, gen, x, y, z, eps, icwgan.LAMBDA_GP,
                                            training=False)
         fake = gen.forward(z, y, training=False)
         term_fake = disc.forward(fake, y).data.mean()
         term_real = disc.forward(x, y).data.mean()
         x_hat = icwgan.interpolate(x, fake, eps)
-        term_pen = icwgan.gradient_penalty(disc, x_hat, y).item()
-        assembled = term_fake - term_real + config.lambda_gp * term_pen
+        _, grad = ConcatCritic(disc).score_and_input_grad(x_hat, y)
+        norms = np.sqrt((grad.data ** 2).sum(axis=(1, 2, 3, 4)))
+        term_pen = ((norms - 1.0) ** 2).mean()
+        assembled = term_fake - term_real + icwgan.LAMBDA_GP * term_pen
         assert loss.item() == pytest.approx(assembled, abs=1e-10)
         assert penalty.item() == pytest.approx(term_pen, abs=1e-12)
 
@@ -404,7 +426,7 @@ class TestLosses:
         params = disc.parameters()
         report = grad_check(
             lambda p: icwgan.critic_loss(disc, gen, x, y, z, eps,
-                                         config.lambda_gp, training=False)[0],
+                                         icwgan.LAMBDA_GP, training=False)[0],
             params, tolerance=1e-4, noise_floor=1e-6)
         assert report.passed, str(report)
 
