@@ -162,7 +162,6 @@ def _cell_configs(raw, single_model):
 
 def cmd_augment_eval(args):
     raw = _load_json(args.config)
-    # every cell is checked and every unit planned before --out is made
     configs = _cell_configs(raw, args.single_model)
     out_dir = args.out or raw.get("output_dir") or "runs"
     dataset = harness.load_config_dataset(raw["dataset"])
@@ -171,10 +170,12 @@ def cmd_augment_eval(args):
         print(f"running {config.regime} / {config.generator or '-'} / {config.classifier}",
               file=sys.stderr)
         plans.append(harness.plan_units(config, dataset))
+    # the units of every cell share one set of worker interpreters; --out is made
+    # only once every unit has run, so a failed run leaves no directory behind
+    reports = harness.run_plans(dataset, plans, log=harness.log_stderr)
     os.makedirs(out_dir, exist_ok=True)
-    # the units of every cell share one set of worker interpreters
     runs = []
-    for report in harness.run_plans(dataset, plans, log=harness.log_stderr):
+    for report in reports:
         runs.append(report.to_dict())
         name = f"run_{report.regime}_{report.generator or 'none'}_{report.classifier}.json"
         harness.write_run_json(report, os.path.join(out_dir, name))
@@ -289,9 +290,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
-        # a KeyError's str() quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {nn.error_text(exc)}", file=sys.stderr)
         return 1
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,14 +139,6 @@ def load_dataset(manifest_path):
 # splitting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SplitResult:
-    train: list = field(default_factory=list)
-    validation: list = field(default_factory=list)
-    test: list = field(default_factory=list)
-    dropped_classes: list = field(default_factory=list)
-
-
 LARGE_CLASS_MIN = 100
 SMALL_CLASS_MIN = 30
 
@@ -157,51 +148,20 @@ def class_ratios(size):
     return (7, 1, 2) if size >= LARGE_CLASS_MIN else (3, 1, 2)
 
 
-def split_by_class_size(dataset, seed):
-    """Per-class ratio split following the class-size rules (``class_ratios``).
-
-    Classes with >= 100 samples split 7:1:2, classes with 30..99 split 3:1:2,
-    classes under 30 samples are dropped. Test and validation counts round to
-    nearest; train takes the remainder.
-    """
-    if len(dataset) == 0:
-        raise ValueError("cannot split an empty dataset")
-    rng = np.random.default_rng(seed)
-    result = SplitResult()
-    for c in range(dataset.num_classes):
-        members = dataset.class_indices(c)
-        n = members.size
-        if n == 0:
-            continue
-        if n < SMALL_CLASS_MIN:
-            result.dropped_classes.append(c)
-            continue
-        r_train, r_val, r_test = class_ratios(n)
-        total = r_train + r_val + r_test
-        n_test = round(n * r_test / total)
-        n_val = round(n * r_val / total)
-        order = rng.permutation(members)
-        result.test.extend(int(i) for i in order[:n_test])
-        result.validation.extend(int(i) for i in order[n_test:n_test + n_val])
-        result.train.extend(int(i) for i in order[n_test + n_val:])
-    return result
-
-
 class StratificationError(ValueError):
     pass
 
 
-def stratified_kfold(dataset, k, seed):
-    """k disjoint folds preserving per-class proportions (counts differ by <= 1)."""
+def stratified_kfold(dataset, k, seed, classes):
+    """k disjoint folds of the members of ``classes`` preserving per-class
+    proportions (counts differ by <= 1); indices are ``dataset``'s own."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     offset = 0
-    for c in range(dataset.num_classes):
+    for c in classes:
         members = dataset.class_indices(c)
-        if members.size == 0:
-            continue
         if members.size < k:
             raise StratificationError(
                 f"class {dataset.class_table[c]!r} has {members.size} samples, fewer than k={k}")

@@ -27,7 +27,7 @@ from . import gmm as gmm_mod
 from . import icwgan as gan_mod
 from . import nn
 from .datasets import (NOISY, REAL, SMALL_CLASS_MIN, SYNTHETIC, VolumeDataset, class_ratios,
-                       load_dataset, make_blob_dataset, split_by_class_size, stratified_kfold)
+                       load_dataset, make_blob_dataset, stratified_kfold)
 from .nn import ConfigError
 from .volumes import MASK_STRATEGIES, add_gaussian_noise, apply_mask, compute_mask
 
@@ -146,52 +146,58 @@ def _cells_for_split(dataset, split, rng_seed):
     """List of (train, val, test) index triples, one per fold.
 
     ``split`` is an ExperimentConfig's, which its ``__post_init__`` has checked.
+    ``ratio`` and ``fixed`` cut each class they keep from one permutation of its
+    members. ``ratio`` splits classes of >= 100 samples 7:1:2 and of 30..99 3:1:2
+    (``class_ratios``) and drops classes under 30; test and validation counts round
+    to nearest and are cut first, and train takes the remainder. ``kfold`` drops
+    classes under max(min_class_size, k) and folds the rest (``stratified_kfold``).
     """
     split = read_kind_block("split", split, SPLIT_FIELDS, "kfold")
     kind = split["kind"]
-    if kind == "ratio":
-        result = split_by_class_size(dataset, rng_seed)
-        return [(result.train, result.validation, result.test)]
-    if kind == "fixed":
-        n_train = split["train_per_class"]
-        n_val = split["val_per_class"]
-        n_test = split["test_per_class"]
-        rng = np.random.default_rng(rng_seed)
-        train, val, test = [], [], []
-        for c in range(dataset.num_classes):
-            members = dataset.class_indices(c)
-            if members.size < n_train + n_val + n_test:
-                raise ConfigError(
-                    f"class {c} has {members.size} samples, fixed split needs "
-                    f"{n_train + n_val + n_test}")
-            order = rng.permutation(members)
-            train.extend(int(i) for i in order[:n_train])
-            val.extend(int(i) for i in order[n_train:n_train + n_val])
-            test.extend(int(i) for i in order[n_train + n_val:n_train + n_val + n_test])
-        return [(train, val, test)]
-    k, min_size = split["k"], split["min_class_size"]
     sizes = [int(dataset.class_indices(c).size) for c in range(dataset.num_classes)]
-    keep = [c for c, size in enumerate(sizes) if size >= max(min_size, k)]
-    if not keep:
-        raise ConfigError(f"kfold split keeps no class: class sizes {sizes} are all below "
-                          f"max(min_class_size, k) = {max(min_size, k)}")
-    kept_indices = [i for i in range(len(dataset)) if dataset.labels[i] in keep]
-    sub = dataset.subset(kept_indices)
-    folds = stratified_kfold(sub, k, rng_seed)
-    back = np.asarray(kept_indices)
-    cells = []
-    for f in range(k):
-        test = [int(back[i]) for i in folds[f]]
-        trainval_local = [i for g in range(k) if g != f for i in folds[g]]
-        rng = np.random.default_rng(rng_seed + f + 1)
-        train, val = _carve_validation(dataset, back, trainval_local, rng)
-        cells.append((train, val, test))
-    return cells
+    if kind == "fixed":
+        counts = split["train_per_class"], split["val_per_class"], split["test_per_class"]
+        keep = range(len(sizes))
+    else:
+        floor = SMALL_CLASS_MIN if kind == "ratio" else max(split["min_class_size"], split["k"])
+        keep = [c for c, size in enumerate(sizes) if size >= floor]
+        if not keep:
+            raise ConfigError(f"{kind} split keeps no class: class sizes {sizes} are all below "
+                              + (f"{floor}" if kind == "ratio" else
+                                 f"max(min_class_size, k) = {floor}"))
+    if kind == "kfold":
+        k = split["k"]
+        folds = stratified_kfold(dataset, k, rng_seed, keep)
+        cells = []
+        for f in range(k):
+            trainval = [i for g in range(k) if g != f for i in folds[g]]
+            rng = np.random.default_rng(rng_seed + f + 1)
+            cells.append((*_carve_validation(dataset, trainval, rng), folds[f]))
+        return cells
+    rng = np.random.default_rng(rng_seed)
+    parts = ([], [], [])    # train, val, test
+    for c in keep:
+        n = sizes[c]
+        if kind == "fixed":
+            if n < sum(counts):
+                raise ConfigError(f"class {c} has {n} samples, fixed split needs {sum(counts)}")
+            cuts = enumerate(counts)
+        else:
+            r_train, r_val, r_test = class_ratios(n)
+            total = r_train + r_val + r_test
+            n_test, n_val = round(n * r_test / total), round(n * r_val / total)
+            cuts = ((2, n_test), (1, n_val), (0, n - n_test - n_val))
+        order = rng.permutation(dataset.class_indices(c))
+        start = 0
+        for part, count in cuts:
+            parts[part].extend(int(i) for i in order[start:start + count])
+            start += count
+    return [parts]
 
 
-def _carve_validation(dataset, back, trainval_local, rng):
+def _carve_validation(dataset, trainval, rng):
     """Per-class validation share of the class-size ratios: r_val / (r_train + r_val)."""
-    trainval = np.asarray([int(back[i]) for i in trainval_local])
+    trainval = np.asarray(trainval)
     train, val = [], []
     labels = dataset.labels[trainval]
     for c in np.unique(labels):

@@ -403,13 +403,18 @@ class CheckpointError(ValueError):
     pass
 
 
+def error_text(exc):
+    """An exception's message; a KeyError's str() would quote it."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
 @contextmanager
 def checkpoint_errors(path):
     """Model metadata or arrays that do not fit together raise CheckpointError."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"malformed checkpoint {path}: {error_text(exc)}") from exc
 
 
 class ConfigError(ValueError):

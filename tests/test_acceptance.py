@@ -19,8 +19,7 @@ from volsynth import harness
 from volsynth import icwgan, nn
 from volsynth.autodiff import Tensor
 from volsynth.cli import main as cli_main
-from volsynth.datasets import make_blob_dataset, one_hot, split_by_class_size, \
-    stratified_kfold
+from volsynth.datasets import make_blob_dataset, one_hot, stratified_kfold
 from volsynth.volumes import Volume
 
 
@@ -279,23 +278,25 @@ def test_criterion_6_protocol():
     from volsynth.datasets import VolumeDataset
 
     ds = make_blob_dataset(3, 10, (8, 8, 8), seed=0)
-    folds = stratified_kfold(ds, 3, seed=1)
+    folds = stratified_kfold(ds, 3, seed=1, classes=range(3))
     fold_ok = all(
         max(int((ds.labels[f] == c).sum()) for f in folds)
         - min(int((ds.labels[f] == c).sum()) for f in folds) <= 1
         for c in range(3))
 
     def counts(n):
+        """Class 0's (train, validation, test) counts in the ratio split of a class
+        of ``n`` samples beside a kept class of 30; all 0 when class 0 is dropped."""
         rng = np.random.default_rng(0)
         volumes = [Volume(rng.uniform(size=(2, 2, 2)).astype(np.float32))
-                   for _ in range(n)]
-        d = VolumeDataset(volumes, [0] * n, ["c"])
-        res = split_by_class_size(d, seed=0)
-        return len(res.train), len(res.validation), len(res.test), res.dropped_classes
+                   for _ in range(n + 30)]
+        d = VolumeDataset(volumes, [0] * n + [1] * 30, ["c", "kept"])
+        [parts] = harness._cells_for_split(d, {"kind": "ratio"}, 0)
+        return tuple(int((d.labels[part] == 0).sum()) for part in parts)
 
-    split_ok = (counts(100)[:3] == (70, 10, 20)
-                and counts(60)[:3] == (30, 10, 20)
-                and counts(29)[3] == [0])
+    split_ok = (counts(100) == (70, 10, 20)
+                and counts(60) == (30, 10, 20)
+                and counts(29) == (0, 0, 0))
 
     config = harness.ExperimentConfig.from_dict({
         "dataset": {"kind": "blob", "num_classes": 3, "per_class": 9,

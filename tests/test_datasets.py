@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volsynth import datasets as dsm
+from volsynth import harness
 from volsynth.datasets import (ManifestError, VolumeDataset, make_blob_dataset, one_hot,
-                               split_by_class_size, stratified_kfold)
+                               stratified_kfold)
 from volsynth.volumes import Volume, normalize_minmax, write_volume
 
 
@@ -122,71 +123,73 @@ class TestManifestErrors:
             dsm.load_dataset(str(manifest))
 
 
+def ratio_split(ds, seed):
+    """train, validation, test and dropped classes of ``ds``'s ratio split; a
+    dropped class is one with no index in any part."""
+    [(train, val, test)] = harness._cells_for_split(ds, {"kind": "ratio"}, seed)
+    kept = set(ds.labels[train + val + test].tolist())
+    return train, val, test, [c for c in range(ds.num_classes) if c not in kept]
+
+
 class TestSplitByClassSize:
     def test_hundred_splits_70_10_20(self):
-        ds = toy_dataset([100])
-        result = split_by_class_size(ds, seed=0)
-        assert (len(result.train), len(result.validation), len(result.test)) == (70, 10, 20)
+        train, val, test, _ = ratio_split(toy_dataset([100]), seed=0)
+        assert (len(train), len(val), len(test)) == (70, 10, 20)
 
     def test_sixty_splits_30_10_20(self):
-        ds = toy_dataset([60])
-        result = split_by_class_size(ds, seed=0)
-        assert (len(result.train), len(result.validation), len(result.test)) == (30, 10, 20)
+        train, val, test, _ = ratio_split(toy_dataset([60]), seed=0)
+        assert (len(train), len(val), len(test)) == (30, 10, 20)
 
     def test_29_samples_dropped(self):
-        ds = toy_dataset([29, 40])
-        result = split_by_class_size(ds, seed=0)
-        assert result.dropped_classes == [0]
-        total = len(result.train) + len(result.validation) + len(result.test)
-        assert total == 40
+        train, val, test, dropped = ratio_split(toy_dataset([29, 40]), seed=0)
+        assert dropped == [0]
+        assert len(train) + len(val) + len(test) == 40
 
     def test_partition_covers_everything_once(self):
         ds = toy_dataset([120, 45, 10])
-        result = split_by_class_size(ds, seed=3)
-        kept = result.train + result.validation + result.test
+        train, val, test, dropped_classes = ratio_split(ds, seed=3)
+        kept = train + val + test
         assert len(kept) == len(set(kept))
-        dropped = [i for i in range(len(ds)) if ds.labels[i] in result.dropped_classes]
+        dropped = [i for i in range(len(ds)) if ds.labels[i] in dropped_classes]
         assert sorted(kept + dropped) == list(range(len(ds)))
 
     def test_deterministic_under_seed(self):
         ds = toy_dataset([50, 50])
-        a = split_by_class_size(ds, seed=5)
-        b = split_by_class_size(ds, seed=5)
-        assert a.train == b.train and a.test == b.test
+        assert ratio_split(ds, seed=5) == ratio_split(ds, seed=5)
 
 
 class TestStratifiedKFold:
     def test_exact_stratification_nine_samples(self):
         ds = toy_dataset([3, 3, 3])
-        folds = stratified_kfold(ds, 3, seed=0)
+        folds = stratified_kfold(ds, 3, seed=0, classes=range(ds.num_classes))
         for fold in folds:
             labels = ds.labels[fold]
             assert sorted(labels.tolist()) == [0, 1, 2]
 
     def test_pigeonhole_counts(self):
         ds = toy_dataset([10])
-        folds = stratified_kfold(ds, 3, seed=1)
+        folds = stratified_kfold(ds, 3, seed=1, classes=range(ds.num_classes))
         counts = sorted(len(f) for f in folds)
         assert counts == [3, 3, 4]
 
     def test_per_class_counts_differ_by_at_most_one(self):
         ds = toy_dataset([10, 7, 23])
-        folds = stratified_kfold(ds, 3, seed=2)
+        folds = stratified_kfold(ds, 3, seed=2, classes=range(ds.num_classes))
         for c in range(3):
             per_fold = [int((ds.labels[f] == c).sum()) for f in folds]
             assert max(per_fold) - min(per_fold) <= 1
 
     def test_folds_partition_indices(self):
         ds = toy_dataset([9, 12])
-        folds = stratified_kfold(ds, 3, seed=4)
+        folds = stratified_kfold(ds, 3, seed=4, classes=range(ds.num_classes))
         merged = sorted(i for f in folds for i in f)
         assert merged == list(range(len(ds)))
 
     def test_seed_determinism_and_variation(self):
         ds = toy_dataset([12, 12])
-        a = stratified_kfold(ds, 3, seed=7)
-        b = stratified_kfold(ds, 3, seed=7)
-        c = stratified_kfold(ds, 3, seed=8)
+        a = stratified_kfold(ds, 3, seed=7, classes=range(ds.num_classes))
+        b = stratified_kfold(ds, 3, seed=7, classes=range(ds.num_classes))
+        c = stratified_kfold(ds, 3, seed=8, classes=range(ds.num_classes))
         assert a == b
         assert a != c
         profile = lambda folds: sorted(
@@ -196,7 +199,7 @@ class TestStratifiedKFold:
     def test_small_class_raises_with_name(self):
         ds = toy_dataset([2, 9])
         with pytest.raises(dsm.StratificationError, match="c0"):
-            stratified_kfold(ds, 3, seed=0)
+            stratified_kfold(ds, 3, seed=0, classes=range(ds.num_classes))
 
 
 def grid_blob_dataset(num_classes, per_class, dims, seed,

@@ -17,7 +17,7 @@ from volsynth.cli import main as cli_main
 from volsynth.datasets import REAL, SYNTHETIC, VolumeDataset, make_blob_dataset, \
     save_dataset
 from volsynth.harness import ExperimentConfig, aggregate
-from volsynth.volumes import apply_mask
+from volsynth.volumes import Volume, apply_mask
 
 
 def small_config(**overrides):
@@ -197,6 +197,114 @@ class TestValueRules:
                 build()
 
 
+# The split code that ``_cells_for_split`` replaced, kept as the reference of the
+# property below: ``datasets.split_by_class_size``, the ``fixed`` loop and the
+# ``kfold`` split, which folded a ``subset`` copy and mapped its indices back. Each
+# is copied verbatim, with the class-size constants written out and the bookkeeping
+# that no cell reads (dropped classes, the k and class-size checks) left out.
+
+def reference_split_by_class_size(dataset, seed):
+    if len(dataset) == 0:
+        raise ValueError("cannot split an empty dataset")
+    rng = np.random.default_rng(seed)
+    train, validation, test = [], [], []
+    for c in range(dataset.num_classes):
+        members = dataset.class_indices(c)
+        n = members.size
+        if n == 0:
+            continue
+        if n < 30:
+            continue
+        r_train, r_val, r_test = (7, 1, 2) if n >= 100 else (3, 1, 2)
+        total = r_train + r_val + r_test
+        n_test = round(n * r_test / total)
+        n_val = round(n * r_val / total)
+        order = rng.permutation(members)
+        test.extend(int(i) for i in order[:n_test])
+        validation.extend(int(i) for i in order[n_test:n_test + n_val])
+        train.extend(int(i) for i in order[n_test + n_val:])
+    return train, validation, test
+
+
+def reference_stratified_kfold(dataset, k, seed):
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    offset = 0
+    for c in range(dataset.num_classes):
+        members = dataset.class_indices(c)
+        if members.size == 0:
+            continue
+        order = rng.permutation(members)
+        for j, idx in enumerate(order):
+            folds[(j + offset) % k].append(int(idx))
+        offset = (offset + members.size) % k
+    return [sorted(f) for f in folds]
+
+
+def reference_carve_validation(dataset, back, trainval_local, rng):
+    trainval = np.asarray([int(back[i]) for i in trainval_local])
+    train, val = [], []
+    labels = dataset.labels[trainval]
+    for c in np.unique(labels):
+        members = trainval[labels == c]
+        r_train, r_val, _ = (7, 1, 2) if dataset.class_indices(c).size >= 100 else (3, 1, 2)
+        n_val = int(round(members.size * (r_val / (r_train + r_val))))
+        order = rng.permutation(members)
+        val.extend(int(i) for i in order[:n_val])
+        train.extend(int(i) for i in order[n_val:])
+    return train, val
+
+
+def reference_cells(dataset, split, rng_seed):
+    kind = split["kind"]
+    if kind == "ratio":
+        return [reference_split_by_class_size(dataset, rng_seed)]
+    if kind == "fixed":
+        n_train = split["train_per_class"]
+        n_val = split["val_per_class"]
+        n_test = split["test_per_class"]
+        rng = np.random.default_rng(rng_seed)
+        train, val, test = [], [], []
+        for c in range(dataset.num_classes):
+            members = dataset.class_indices(c)
+            if members.size < n_train + n_val + n_test:
+                raise harness.ConfigError(
+                    f"class {c} has {members.size} samples, fixed split needs "
+                    f"{n_train + n_val + n_test}")
+            order = rng.permutation(members)
+            train.extend(int(i) for i in order[:n_train])
+            val.extend(int(i) for i in order[n_train:n_train + n_val])
+            test.extend(int(i) for i in order[n_train + n_val:n_train + n_val + n_test])
+        return [(train, val, test)]
+    k, min_size = split["k"], split["min_class_size"]
+    sizes = [int(dataset.class_indices(c).size) for c in range(dataset.num_classes)]
+    keep = [c for c, size in enumerate(sizes) if size >= max(min_size, k)]
+    if not keep:
+        raise harness.ConfigError(f"kfold split keeps no class: class sizes {sizes} are all "
+                                  f"below max(min_class_size, k) = {max(min_size, k)}")
+    kept_indices = [i for i in range(len(dataset)) if dataset.labels[i] in keep]
+    sub = dataset.subset(kept_indices)
+    folds = reference_stratified_kfold(sub, k, rng_seed)
+    back = np.asarray(kept_indices)
+    cells = []
+    for f in range(k):
+        test = [int(back[i]) for i in folds[f]]
+        trainval_local = [i for g in range(k) if g != f for i in folds[g]]
+        rng = np.random.default_rng(rng_seed + f + 1)
+        train, val = reference_carve_validation(dataset, back, trainval_local, rng)
+        cells.append((train, val, test))
+    return cells
+
+
+SPLIT_BLOCKS = st.one_of(
+    st.just({"kind": "ratio"}),
+    st.fixed_dictionaries({"kind": st.just("fixed"), "train_per_class": st.integers(1, 40),
+                           "val_per_class": st.integers(0, 10),
+                           "test_per_class": st.integers(1, 40)}),
+    st.fixed_dictionaries({"kind": st.just("kfold"), "k": st.integers(2, 6),
+                           "min_class_size": st.integers(0, 60)}))
+
+
 class TestSplits:
     def test_kfold_cells_disjoint_and_stratified(self):
         ds = make_blob_dataset(3, 9, (8, 8, 8), seed=4)
@@ -241,6 +349,45 @@ class TestSplits:
                 n_val = int((ds.labels[val] == c).sum())
                 members = n_val + int((ds.labels[train] == c).sum())
                 assert n_val == round(members / divisor) > 0
+
+    @given(sizes=st.lists(st.integers(0, 159), min_size=1, max_size=4),
+           order_seed=st.integers(0, 2 ** 32 - 1), split=SPLIT_BLOCKS,
+           rng_seed=st.integers(0, 2 ** 32 - 1))
+    @example(sizes=[29, 0], order_seed=0, split={"kind": "ratio"}, rng_seed=0)
+    @example(sizes=[100, 35, 0], order_seed=1, split={"kind": "ratio"}, rng_seed=3)
+    @example(sizes=[110, 50, 20], order_seed=2,
+             split={"kind": "kfold", "k": 3, "min_class_size": 30}, rng_seed=2)
+    @settings(max_examples=400, deadline=None)
+    def test_cells_match_the_reference_and_parts_are_disjoint(self, sizes, order_seed,
+                                                              split, rng_seed):
+        """Every kind's cells hold the reference's index lists in its order, with
+        train, validation and test disjoint. The one intended difference: a ratio
+        split that keeps no class is a ConfigError, not three empty parts."""
+        # class members interleaved in a drawn order, so a class's indices are not a run
+        labels = np.random.default_rng(order_seed).permutation(
+            np.repeat(np.arange(len(sizes)), sizes))
+        volume = Volume(np.zeros((1, 1, 1), dtype=np.float32))
+        ds = VolumeDataset([volume] * len(labels), labels,
+                           [f"c{c}" for c in range(len(sizes))])
+        try:
+            expected = reference_cells(ds, split, rng_seed)
+        except ValueError as exc:
+            expected = exc
+        if split["kind"] == "ratio" and (isinstance(expected, Exception)
+                                         or not any(expected[0])):
+            # the reference refused only an empty dataset, and kept no class silently
+            expected = harness.ConfigError(
+                f"ratio split keeps no class: class sizes {sizes} are all below 30")
+        if isinstance(expected, Exception):
+            with pytest.raises(harness.ConfigError) as caught:
+                harness._cells_for_split(ds, split, rng_seed)
+            assert str(caught.value) == str(expected)
+            return
+        cells = harness._cells_for_split(ds, split, rng_seed)
+        assert [tuple(cell) for cell in cells] == expected
+        for cell in cells:
+            train, val, test = map(set, cell)
+            assert sum(map(len, cell)) == len(train | val | test)
 
 
 class TestAggregate:
@@ -775,6 +922,9 @@ class TestCLI:
           for kind in ("gmm", "cvae", "icwgan")],
         ({"classifier": "dnn", "models": {"dnn": {"seed": 3}}},
          "error: dnn blocks may not set seed"),
+        # every class is under the ratio split's 30 samples
+        ({"regime": "real", "split": {"kind": "ratio"}},
+         "error: ratio split keeps no class: class sizes [6, 6] are all below 30"),
     ])
     def test_augment_eval_rejects_a_count_that_is_no_integer_before_making_out(
             self, tmp_path, capsys, change, message):
@@ -788,6 +938,26 @@ class TestCLI:
         assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_augment_eval_whose_unit_fails_exits_1_without_making_out(self, tmp_path,
+                                                                      capsys):
+        """Two classes of nine identical volumes plan, but their mask keeps no voxel,
+        so the first SVM unit fails; no run was written, so no --out is made."""
+        volume = make_blob_dataset(1, 1, (8, 8, 8), seed=0).volumes[0]
+        data = tmp_path / "data"
+        save_dataset(VolumeDataset([volume.copy() for _ in range(18)], [0] * 9 + [1] * 9,
+                                   ["a", "b"]), str(data))
+        config = {"dataset": {"kind": "manifest", "path": str(data / "manifest.csv")},
+                  "regime": "real", "classifier": "svm", "repeats": 1,
+                  "split": {"kind": "kfold", "k": 3, "min_class_size": 3}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: SVM training needs at least one feature; the mask keeps no voxel" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_augment_eval_rejects_unknown_mask_strategy_before_making_out(self, tmp_path,
@@ -1026,6 +1196,24 @@ class TestOutOfRangeHeader:
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed checkpoint") and name in err
+        assert not out.exists()
+
+
+class TestMissingParameter:
+    def test_a_checkpoint_missing_a_parameter_names_it_without_quotes(self, tmp_path,
+                                                                      capsys):
+        """``sample`` from an ICW-GAN checkpoint without its critic's head bias exits 1
+        and names the parameter; the KeyError's message keeps no quotes of its own."""
+        path = train_tiny("icwgan", tmp_path)
+        arrays, extra = nn.load_checkpoint(path)
+        del arrays["disc.head.bias"]
+        nn.save_checkpoint(path, arrays, precision=extra["dtype"], extra=extra)
+        capsys.readouterr()
+        out = tmp_path / "samples"
+        assert cli_main(["sample", "--checkpoint", str(path), "--class-index", "0",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: malformed checkpoint {path}: checkpoint "
+                                           f"is missing parameter 'disc.head.bias'\n")
         assert not out.exists()
 
 
