@@ -164,6 +164,12 @@ def cmd_augment_eval(args):
     raw = _load_json(args.config)
     configs = _cell_configs(raw, args.single_model)
     out_dir = args.out or raw.get("output_dir") or "runs"
+    existing = os.path.abspath(out_dir)   # --out or the nearest ancestor that exists
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(f"cannot make output directory {out_dir}: "
+                                 f"{existing} is not a directory")
     dataset = harness.load_config_dataset(raw["dataset"])
     plans = []
     for config in configs:

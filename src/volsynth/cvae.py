@@ -111,19 +111,13 @@ def elbo_loss(x, x_hat, mu, logvar):
 @dataclass
 class CVAEHistory:
     epochs: list = field(default_factory=list)   # per-epoch mean LossParts
-    validation: list = field(default_factory=list)
-    best_epoch: int = -1
 
 
-def train_cvae(dataset, config, val_indices=None, train_indices=None):
-    """Minimize the negative ELBO with Adam; keep the best-validation epoch.
-
-    Without a validation set the final epoch's parameters are kept.
-    """
-    train_indices = np.arange(len(dataset)) if train_indices is None else np.asarray(train_indices)
-    if train_indices.size < 2:
-        raise ValueError(f"CVAE training needs at least 2 volumes (decoder batchnorm), "
-                         f"got {train_indices.size}")
+def train_cvae(dataset, config):
+    """Minimize the negative ELBO with Adam over every volume of ``dataset``."""
+    n = len(dataset)
+    if n < 2:
+        raise ValueError(f"CVAE training needs at least 2 volumes (decoder batchnorm), got {n}")
     dtype = np.dtype(config.dtype).type
     rng = np.random.default_rng(config.seed)
     model = CVAE(dataset.dims, dataset.num_classes, config, rng)
@@ -134,10 +128,8 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
     labels = one_hot(dataset.labels, dataset.num_classes, dtype=dtype)
 
     history = CVAEHistory()
-    best = (np.inf, None, config.epochs - 1)   # (score, state, epoch)
-    n = train_indices.size
-    for epoch in range(config.epochs):
-        order = train_indices[rng.permutation(n)]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
         parts_sum = np.zeros(2)
         batches = 0
         for start in range(0, n - 1, config.batch_size):
@@ -153,32 +145,8 @@ def train_cvae(dataset, config, val_indices=None, train_indices=None):
             nn.adam_step(params, grads, adam)
             parts_sum += (parts.reconstruction, parts.kl)
             batches += 1
-        mean_parts = LossParts(*(parts_sum / max(batches, 1)))
-        history.epochs.append(mean_parts)
-        if val_indices is not None and len(val_indices) > 0:
-            val_loss = evaluate_elbo(model, dataset, val_indices, config).total
-            history.validation.append(val_loss)
-            if val_loss < best[0]:
-                best = (val_loss, nn.state_arrays(model), epoch)
-    if best[1] is not None:
-        nn.load_state(best[1], model)
-    history.best_epoch = best[2]
+        history.epochs.append(LossParts(*(parts_sum / max(batches, 1))))
     return model, history
-
-
-def evaluate_elbo(model, dataset, indices, config):
-    """Deterministic loss on held-out volumes: eps = 0, inference-mode stats."""
-    indices = np.asarray(indices)
-    dtype = np.dtype(config.dtype).type
-    volumes = dataset.stack(dtype=dtype)[indices]
-    labels = one_hot(dataset.labels[indices], dataset.num_classes, dtype=dtype)
-    x = Tensor(volumes)
-    y = Tensor(labels)
-    mu, logvar = model.encode(x, y)
-    z = reparameterize(mu, logvar, Tensor(np.zeros(mu.data.shape, dtype=dtype)))
-    x_hat = model.decode(z, y, training=False)
-    _, parts = elbo_loss(x, x_hat, mu, logvar)
-    return parts
 
 
 def sample_cvae(model, class_index, count, seed):

@@ -172,16 +172,13 @@ class ClassGMM:
                 for chunk in self._feature_chunks(class_index, n, seed) for f in chunk]
 
 
-def fit_class_gmms(dataset, mask, config, indices=None):
-    """Train one mixture per class present among ``indices`` (default: all)."""
+def fit_class_gmms(dataset, mask, config):
+    """Train one mixture per class present in ``dataset``."""
     if mask.valid_count == 0:
         raise ValueError("GMM training needs at least one feature; the mask keeps no voxel")
-    if indices is None:
-        indices = range(len(dataset))
     features_by_class = {}
-    for i in indices:
-        feats = apply_mask(dataset.volumes[i], mask)
-        features_by_class.setdefault(int(dataset.labels[i]), []).append(feats)
+    for volume, label in zip(dataset.volumes, dataset.labels):
+        features_by_class.setdefault(int(label), []).append(apply_mask(volume, mask))
     model = ClassGMM(mask, config)
     model.fit({c: np.asarray(v) for c, v in features_by_class.items()})
     return model

@@ -229,7 +229,7 @@ class GeneratorKind(NamedTuple):
 GENERATORS = {
     "gmm": GeneratorKind(
         fit=lambda dataset, idx, models, seed, mask: gmm_mod.fit_class_gmms(
-            dataset, mask, model_config("gmm", models, seed), indices=idx),
+            dataset.subset(idx), mask, model_config("gmm", models, seed)),
         sample=lambda model, c, count, seed: model.sample_volumes(c, count, seed),
         load=lambda path: gmm_mod.load_gmm(path)),
     "cvae": GeneratorKind(
@@ -304,11 +304,6 @@ def _phase_seeds(base_seed, fold, repeat):
     ss = np.random.SeedSequence([int(base_seed), int(fold), int(repeat)])
     children = ss.spawn(4)
     return [int(c.generate_state(1)[0]) for c in children]
-
-
-def _train_generator(kind, dataset, train_idx, cfg_models, seed, mask):
-    """A ``kind`` generator trained on ``train_idx`` only."""
-    return GENERATORS[kind].fit(dataset, train_idx, cfg_models, seed, mask)
 
 
 def _augment(config, dataset, train_idx, generator, synth_seed, noise_seed):
@@ -409,9 +404,8 @@ def plan_units(config, dataset):
         # across folds; leaks fold information by design
         seeds = _phase_seeds(config.seed, 0, 0)
         mask_all = compute_mask(dataset.volumes, strategy=config.mask_strategy)
-        single_generator = _train_generator(config.generator, dataset,
-                                            list(range(len(dataset))),
-                                            config.models, seeds[0], mask_all)
+        single_generator = GENERATORS[config.generator].fit(
+            dataset, range(len(dataset)), config.models, seeds[0], mask_all)
     return [Unit(config, fold, repeat, *cell, _phase_seeds(config.seed, fold, repeat),
                  single_generator)
             for repeat in range(config.repeats) for fold, cell in enumerate(cells)]
@@ -427,8 +421,8 @@ def run_unit(dataset, unit):
                         strategy=config.mask_strategy)
     generator = unit.generator
     if config.regime == "real_synth" and generator is None:
-        generator = _train_generator(
-            config.generator, dataset, unit.train, config.models, gen_seed, mask)
+        generator = GENERATORS[config.generator].fit(
+            dataset, unit.train, config.models, gen_seed, mask)
     aug_train = _augment(config, dataset, unit.train, generator, synth_seed, noise_seed)
     metrics = _train_and_eval_classifier(
         config, dataset, aug_train, unit.val, unit.test, mask, clf_seed)
@@ -708,7 +702,7 @@ def blob_benchmark(seed, profiles=None, log=None, num_classes=4, dims=(16, 16, 1
     for kind, key, seed_offset in (("cvae", "cvae_consistency", 300),
                                    ("icwgan", "gan_consistency", 400)):
         t0 = time.time()
-        model = _train_generator(kind, dataset, train_idx, models, seed, mask)
+        model = GENERATORS[kind].fit(dataset, train_idx, models, seed, mask)
         hits = 0
         for c in range(dataset.num_classes):
             samples = GENERATORS[kind].sample(model, c, 50, seed + seed_offset + c)

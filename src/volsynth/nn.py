@@ -442,7 +442,7 @@ def read_config(block, spec, what):
 
     ``spec`` is {field: default}, where a type marks a field the block must set; each
     value is one ``ACCEPTS`` for its default's type, and becomes a tuple or list if that is
-    one, and then meets the field's ``VALUE_RULES``.
+    one (a list may not repeat a value), and then meets the field's ``VALUE_RULES``.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{what} must be a JSON object, got {block!r}")
@@ -461,6 +461,8 @@ def read_config(block, spec, what):
             raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if kind in (tuple, list):
             value = kind(value) if isinstance(value, (list, tuple)) else [value]
+        if kind is list and any(v in value[:i] for i, v in enumerate(value)):
+            raise ConfigError(f"{name} may not repeat a name, got {value!r}")
         if kind is tuple and not (value and min(value) >= 1):
             raise ConfigError(f"{name} must be a non-empty list of integers >= 1, "
                               f"got {list(value)}")

@@ -182,27 +182,6 @@ class TestTraining:
         smoothed = np.convolve(totals, np.ones(5) / 5, mode="valid")
         assert smoothed[-1] < smoothed[0]
 
-    def test_validation_selects_best_epoch(self):
-        ds = make_blob_dataset(2, 8, (8, 8, 8), seed=3)
-        config = cvae.CVAEConfig(latent_dim=3, enc_channels=(3, 4), dec_channels=(4, 3),
-                                 batch_size=4, epochs=4, seed=1)
-        _, history = cvae.train_cvae(ds, config, val_indices=np.arange(4),
-                                     train_indices=np.arange(4, 16))
-        assert len(history.validation) == 4
-        assert history.best_epoch == int(np.argmin(history.validation))
-
-    def test_best_epoch_restores_its_batchnorm_statistics(self):
-        """The returned model scores exactly its best epoch's validation loss."""
-        ds = make_blob_dataset(2, 8, (8, 8, 8), seed=3)
-        config = cvae.CVAEConfig(latent_dim=3, enc_channels=(3, 4), dec_channels=(4, 3),
-                                 batch_size=4, epochs=8, seed=0, learning_rate=5e-2)
-        val = np.arange(4)
-        model, history = cvae.train_cvae(ds, config, val_indices=val,
-                                         train_indices=np.arange(4, 16))
-        assert history.best_epoch < config.epochs - 1
-        restored = cvae.evaluate_elbo(model, ds, val, config).total
-        assert restored == history.validation[history.best_epoch]
-
     def test_batch_below_two_rejected(self):
         with pytest.raises(ValueError):
             cvae.CVAEConfig(batch_size=1)

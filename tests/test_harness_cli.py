@@ -448,8 +448,8 @@ class TestRunRegime:
                               synth_per_class=per_class)
         dataset = harness.load_config_dataset(config.dataset)
         mask = harness.compute_mask(dataset.volumes)
-        trained = harness._train_generator("gmm", dataset, list(range(len(dataset))),
-                                           config.models, 3, mask)
+        trained = harness.GENERATORS["gmm"].fit(dataset, list(range(len(dataset))),
+                                                config.models, 3, mask)
         aug = harness._augment(config, dataset, list(range(len(dataset))), trained,
                                synth_seed=1, noise_seed=2)
         assert len(aug) == len(dataset) + per_class * dataset.num_classes
@@ -486,13 +486,13 @@ class TestRunRegime:
 
     def test_single_model_mode_trains_one_generator(self, monkeypatch):
         calls = []
-        original = harness._train_generator
+        original = harness.GENERATORS["gmm"]
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return original(*args, **kwargs)
+            return original.fit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "_train_generator", counting)
+        monkeypatch.setitem(harness.GENERATORS, "gmm", original._replace(fit=counting))
         config = small_config(regime="real_synth", generator="gmm",
                               synth_per_class=2, single_model=True)
         report = harness.run_regime(config)
@@ -539,6 +539,39 @@ class TestRunRegime:
         accs = [row["accuracy"] for row in stored["entries"]]
         assert stored["aggregate"]["mean"]["accuracy"] == pytest.approx(
             float(np.mean(accs)), abs=0)
+
+
+def model_state(kind, model):
+    """A fitted generator's parameters as {name: bytes}."""
+    if kind == "gmm":
+        return {f"{c}.{name}": getattr(p, name).tobytes() for c, p in model.per_class.items()
+                for name in ("weights", "means", "variances")}
+    return {name: array.tobytes() for name, array in nn.state_arrays(model).items()}
+
+
+class TestGeneratorFit:
+    MODELS = {"gmm": {"num_components": 2},
+              "cvae": {"latent_dim": 3, "enc_channels": [3, 4], "dec_channels": [4, 3],
+                       "batch_size": 4, "epochs": 2},
+              "icwgan": {"z_dim": 3, "gen_channels": [3, 2], "disc_channels": [2, 3],
+                         "batch_size": 4, "critic_iters": 2, "epochs": 2}}
+
+    @pytest.mark.parametrize("kind", sorted(harness.GENERATORS))
+    def test_a_fit_reads_only_its_training_volumes(self, kind, rng):
+        """Every volume outside ``idx`` replaced by another in-range volume: the
+        fitted parameters keep their bytes."""
+        dataset = make_blob_dataset(2, 6, (8, 8, 8), seed=2)
+        idx = [0, 2, 3, 5, 7, 8, 10, 11]
+        mask = harness.compute_mask([dataset.volumes[i] for i in idx])
+        volumes = [v if i in idx else Volume(rng.uniform(0.0, 1.0, v.dims))
+                   for i, v in enumerate(dataset.volumes)]
+        changed = VolumeDataset(volumes, dataset.labels, dataset.class_table)
+        assert all(not np.array_equal(a.data, b.data) for i, (a, b)
+                   in enumerate(zip(dataset.volumes, volumes)) if i not in idx)
+        fit = harness.GENERATORS[kind].fit
+        states = [model_state(kind, fit(ds, idx, self.MODELS, 3, mask))
+                  for ds in (dataset, changed)]
+        assert states[0] and states[0] == states[1]
 
 
 class TestBlobBenchmark:
@@ -925,6 +958,13 @@ class TestCLI:
         # every class is under the ratio split's 30 samples
         ({"regime": "real", "split": {"kind": "ratio"}},
          "error: ratio split keeps no class: class sizes [6, 6] are all below 30"),
+        # a repeated cell would run twice but write one run file
+        ({"regime": ["real", "real_noise", "real"]},
+         "error: regime may not repeat a name, got ['real', 'real_noise', 'real']"),
+        ({"regime": "real_synth", "generator": ["gmm", "gmm"], "synth_per_class": 2},
+         "error: generator may not repeat a name, got ['gmm', 'gmm']"),
+        ({"classifier": ["svm", "svm"]},
+         "error: classifier may not repeat a name, got ['svm', 'svm']"),
     ])
     def test_augment_eval_rejects_a_count_that_is_no_integer_before_making_out(
             self, tmp_path, capsys, change, message):
@@ -972,6 +1012,26 @@ class TestCLI:
         assert "unknown mask strategy 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_augment_eval_whose_out_is_a_file_exits_1_before_any_unit_runs(self, tmp_path,
+                                                                           capsys, below):
+        """--out names a file, or a path under one; the sweep's two units would plan
+        and run, so the refusal comes before them."""
+        config = {"dataset": {"kind": "blob", "num_classes": 2, "per_class": 6,
+                              "dims": [8, 8, 8], "seed": 4},
+                  "regime": "real", "classifier": "svm", "repeats": 1,
+                  "split": {"kind": "kfold", "k": 2, "min_class_size": 2}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = str(taken / below)
+        assert self.run_cli("augment-eval", "--config", str(cfg_path), "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot make output directory {out}: {taken} is not a directory" in err
+        assert "accuracy" not in err and "Traceback" not in err
+        assert taken.read_text() == "not a directory"
+
     @given(regime=one_or_many(["real", "real_noise", "real_synth"]),
            generator=one_or_many(["gmm", "cvae", "icwgan"]),
            classifier=one_or_many(["svm", "dnn"]), single_model=st.booleans())
@@ -980,7 +1040,8 @@ class TestCLI:
                                                       single_model):
         """The sweep's cells are regime x generator x classifier, with generators
         for real_synth only; each cell keeps the document's values for its own
-        regime's fields, leaves the others unset, and gets --single-model."""
+        regime's fields, leaves the others unset, and gets --single-model; a list
+        that repeats a name is refused, naming its field."""
         doc = {"dataset": {"kind": "blob"}, "synth_per_class": 4, "noise_per_class": 3,
                "noise_variance": 0.01}
         drawn = {"regime": regime, "generator": generator, "classifier": classifier}
@@ -991,6 +1052,13 @@ class TestCLI:
                  for c in as_list(classifier, ["svm", "dnn"])]
         flag = ["--single-model"] if single_model else []
         args = cli.build_parser().parse_args(["augment-eval", "--config", "doc.json", *flag])
+        repeated = [key for key, value in drawn.items()
+                    if isinstance(value, list) and len(set(value)) < len(value)]
+        if repeated:
+            with pytest.raises(harness.ConfigError, match="may not repeat a name") as err:
+                cli._cell_configs(doc, args.single_model)
+            assert str(err.value).split()[0] in repeated
+            return
         bad = [(r, g, c) for r, g, c in cells
                if r is None or c is None or (r == "real_synth" and g is None)]
         if bad:

@@ -176,14 +176,17 @@ def test_single_model_units_reuse_each_cells_one_fit(tmp_path, monkeypatch):
     """In-process, so the counting patch sees every fit that ``run_unit`` makes:
     one per cell, made while planning, and none for the cell's 3 folds."""
     calls = []
-    original = harness._train_generator
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(kind, fit):
+        def fit_and_count(*args, **kwargs):
+            calls.append(kind)
+            return fit(*args, **kwargs)
+        return fit_and_count
 
     monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(harness, "_train_generator", counting)
+    for kind, generator in list(harness.GENERATORS.items()):
+        monkeypatch.setitem(harness.GENERATORS, kind,
+                            generator._replace(fit=counting(kind, generator.fit)))
     cfg = sweep_config(tmp_path, regime="real_synth", classifier="svm", single_model=True)
     out = tmp_path / "r"
     assert cli_main(["augment-eval", "--config", str(cfg), "--out", str(out)]) == 0
