@@ -103,13 +103,8 @@ def cmd_train_gan(args):
 
 
 def cmd_sample(args):
-    _, extra = nn.load_checkpoint(args.checkpoint)
-    generator = harness.GENERATORS.get((extra or {}).get("kind"))
-    if generator is None:
-        print(f"error: {args.checkpoint} is not a generator checkpoint", file=sys.stderr)
-        return 1
-    model = generator.load(args.checkpoint)
-    volumes = generator.sample(model, args.class_index, args.count, args.seed)
+    kind, model = harness.load_generator(args.checkpoint)
+    volumes = harness.GENERATORS[kind].sample(model, args.class_index, args.count, args.seed)
     class_table = [f"class_{c}" for c in range(model.num_classes)]
     samples = VolumeDataset(volumes, [args.class_index] * len(volumes), class_table)
     save_dataset(samples, args.out, prefix=f"sample_c{args.class_index}")
@@ -124,11 +119,8 @@ def cmd_train_clf(args):
     model = harness.fit_classifier(args.kind, _models_from_args(args.kind, args), dataset,
                                    mask, args.seed)
     if args.kind == "dnn":
-        extra = {"kind": "dnn_classifier", "dims": list(dataset.dims),
-                 "num_classes": dataset.num_classes,
-                 "channels": list(model.config.channels), "dtype": model.config.dtype}
-        nn.save_checkpoint(args.out, nn.state_arrays(model), precision=model.config.dtype,
-                           extra=extra)
+        nn.save_model(args.out, "dnn_classifier", model.config, ("channels", "dtype"),
+                      dataset.dims, dataset.num_classes, model)
     else:
         arrays = {"weights": model.weights, "biases": model.biases,
                   "mask": mask.bits.astype(np.float64)}

@@ -161,17 +161,12 @@ CHECKPOINT_FIELDS = ("latent_dim", "enc_channels", "dec_channels", "dtype")
 
 
 def save_cvae(model, path):
-    extra = {"kind": "cvae", "dims": list(model.dims), "num_classes": model.num_classes}
-    extra.update((k, getattr(model.config, k)) for k in CHECKPOINT_FIELDS)
-    nn.save_checkpoint(path, nn.state_arrays(model), precision=model.config.dtype, extra=extra)
+    nn.save_model(path, "cvae", model.config, CHECKPOINT_FIELDS, model.dims, model.num_classes,
+                  model)
 
 
-def load_cvae(path):
-    arrays, extra = nn.load_checkpoint(path)
-    if not extra or extra.get("kind") != "cvae":
-        raise nn.CheckpointError(f"{path} is not a CVAE checkpoint")
-    with nn.checkpoint_errors(path):
-        config = nn.model_config(CVAEConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
-        model = CVAE(extra["dims"], extra["num_classes"], config, np.random.default_rng(0))
-        nn.load_state(arrays, model)
-    return model, config
+def load_cvae(arrays, extra):
+    config = nn.model_config(CVAEConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
+    model = CVAE(extra["dims"], extra["num_classes"], config, np.random.default_rng(0))
+    nn.load_state(arrays, model)
+    return model

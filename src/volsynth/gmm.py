@@ -203,21 +203,18 @@ def save_gmm(model, path):
     nn.save_checkpoint(path, arrays, precision="float64", extra=extra)
 
 
-def load_gmm(path):
-    arrays, extra = nn.load_checkpoint(path)
-    if not extra or extra.get("kind") != "gmm":
-        raise nn.CheckpointError(f"{path} is not a GMM checkpoint")
-    with nn.checkpoint_errors(path):
-        mask = Mask(arrays["mask"].reshape(extra["mask_dims"]) > 0.5)
-        model = ClassGMM(mask, EMConfig(num_components=extra["K"]))
-        k, d = extra["K"], extra["feature_dim"]
-        if d != mask.valid_count:
-            raise ValueError(f"feature_dim {d} but the mask keeps {mask.valid_count} voxels")
-        for c in extra["classes"]:
-            w, mu, var = (arrays[f"class_{c}.{n}"] for n in ("weights", "means", "variances"))
-            if not (w.shape == (k,) and mu.shape == var.shape == (k, d) and np.all(w >= 0)
-                    and np.isclose(w.sum(), 1) and np.all(var > 0)):
-                raise ValueError(f"class {c} needs {k} weights >= 0 that sum to 1, and "
-                                 f"{k} x {d} means and variances > 0")
-            model.per_class[int(c)] = MixtureParams(w, mu, var, log_likelihoods=[])
+def load_gmm(arrays, extra):
+    """The mixtures of a checkpoint's arrays and header, once they fit together."""
+    mask = Mask(arrays["mask"].reshape(extra["mask_dims"]) > 0.5)
+    model = ClassGMM(mask, EMConfig(num_components=extra["K"]))
+    k, d = extra["K"], extra["feature_dim"]
+    if d != mask.valid_count:
+        raise ValueError(f"feature_dim {d} but the mask keeps {mask.valid_count} voxels")
+    for c in extra["classes"]:
+        w, mu, var = (arrays[f"class_{c}.{n}"] for n in ("weights", "means", "variances"))
+        if not (w.shape == (k,) and mu.shape == var.shape == (k, d) and np.all(w >= 0)
+                and np.isclose(w.sum(), 1) and np.all(var > 0)):
+            raise ValueError(f"class {c} needs {k} weights >= 0 that sum to 1, and "
+                             f"{k} x {d} means and variances > 0")
+        model.per_class[int(c)] = MixtureParams(w, mu, var, log_likelihoods=[])
     return model

@@ -219,7 +219,7 @@ class GeneratorKind(NamedTuple):
 
     fit: Callable      # (dataset, train indices, models block, seed, mask) -> model
     sample: Callable   # (model, class index, count, seed) -> [Volume]
-    load: Callable     # (checkpoint path) -> model
+    load: Callable     # (checkpoint arrays, header's extra block) -> model
 
 
 # entries look functions up through their modules at call time, so a caller
@@ -231,18 +231,28 @@ GENERATORS = {
         fit=lambda dataset, idx, models, seed, mask: gmm_mod.fit_class_gmms(
             dataset.subset(idx), mask, model_config("gmm", models, seed)),
         sample=lambda model, c, count, seed: model.sample_volumes(c, count, seed),
-        load=lambda path: gmm_mod.load_gmm(path)),
+        load=lambda arrays, extra: gmm_mod.load_gmm(arrays, extra)),
     "cvae": GeneratorKind(
         fit=lambda dataset, idx, models, seed, mask: cvae_mod.train_cvae(
             dataset.subset(idx), model_config("cvae", models, seed))[0],
         sample=lambda model, c, count, seed: cvae_mod.sample_cvae(model, c, count, seed),
-        load=lambda path: cvae_mod.load_cvae(path)[0]),
+        load=lambda arrays, extra: cvae_mod.load_cvae(arrays, extra)),
     "icwgan": GeneratorKind(
         fit=lambda dataset, idx, models, seed, mask: gan_mod.train_icwgan(
             dataset.subset(idx), model_config("icwgan", models, seed))[0],
         sample=lambda gen, c, count, seed: gan_mod.sample_gan(gen, c, count, seed),
-        load=lambda path: gan_mod.load_gan(path)[0]),
+        load=lambda arrays, extra: gan_mod.load_gan(arrays, extra)),
 }
+
+
+def load_generator(path):
+    """(kind, model) of a generator checkpoint: the one place such a file is read."""
+    arrays, extra = nn.load_checkpoint(path)
+    kind = extra.get("kind") if isinstance(extra, dict) else None
+    if kind not in GENERATOR_KINDS:   # a tuple compares, so an unhashable kind is no error
+        raise nn.CheckpointError(f"{path} is not a generator checkpoint")
+    with nn.checkpoint_errors(path):
+        return kind, GENERATORS[kind].load(arrays, extra)
 
 
 # ---------------------------------------------------------------------------

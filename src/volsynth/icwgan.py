@@ -218,19 +218,15 @@ CHECKPOINT_FIELDS = ("z_dim", "gen_channels", "disc_channels", "dtype")
 
 
 def save_gan(gen, disc, path, dims, num_classes, config):
-    extra = {"kind": "icwgan", "dims": list(dims), "num_classes": num_classes}
-    extra.update((k, getattr(config, k)) for k in CHECKPOINT_FIELDS)
-    nn.save_checkpoint(path, nn.state_arrays(gen, disc), precision=config.dtype, extra=extra)
+    nn.save_model(path, "icwgan", config, CHECKPOINT_FIELDS, dims, num_classes, gen, disc)
 
 
-def load_gan(path):
-    arrays, extra = nn.load_checkpoint(path)
-    if not extra or extra.get("kind") != "icwgan":
-        raise nn.CheckpointError(f"{path} is not an ICW-GAN checkpoint")
-    with nn.checkpoint_errors(path):
-        config = nn.model_config(GANConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
-        rng = np.random.default_rng(0)
-        gen = Generator(extra["dims"], extra["num_classes"], config, rng)
-        disc = Discriminator(extra["dims"], extra["num_classes"], config, rng)
-        nn.load_state(arrays, gen, disc)
-    return gen, disc, config
+def load_gan(arrays, extra):
+    """The generator of a checkpoint's arrays and header; the critic is restored beside
+    it, so a checkpoint loads only if it holds both networks."""
+    config = nn.model_config(GANConfig, {k: extra[k] for k in CHECKPOINT_FIELDS})
+    rng = np.random.default_rng(0)
+    gen = Generator(extra["dims"], extra["num_classes"], config, rng)
+    disc = Discriminator(extra["dims"], extra["num_classes"], config, rng)
+    nn.load_state(arrays, gen, disc)
+    return gen

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
@@ -509,12 +510,20 @@ def save_checkpoint(path, arrays, precision="float64", extra=None):
             fh.write(np.ascontiguousarray(v, dtype=dtype).tobytes())
 
 
+def save_model(path, kind, config, fields, dims, num_classes, *modules):
+    """``modules``' state at ``config.dtype`` under a header of ``kind``, the data's
+    ``dims`` and ``num_classes``, and the ``fields`` of ``config`` that shape them."""
+    extra = {"kind": kind, "dims": list(dims), "num_classes": num_classes}
+    extra.update((k, getattr(config, k)) for k in fields)
+    save_checkpoint(path, state_arrays(*modules), precision=config.dtype, extra=extra)
+
+
 def load_checkpoint(path):
     """Read back arrays and the extra metadata block (or None).
 
     A header without a known format, a numpy precision and a list of named
     non-negative shapes raises CheckpointError, as does a payload of any other
-    length.
+    length; no array is read whose claimed size exceeds what the file has left.
     """
     with open(path, "rb") as fh:
         try:
@@ -528,13 +537,13 @@ def load_checkpoint(path):
             raise CheckpointError(f"unreadable checkpoint header in {path}: {exc}") from exc
         if header.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"unsupported checkpoint format {header.get('format')!r}")
+        size = os.fstat(fh.fileno()).st_size
         arrays = {}
         for name, shape in specs:
-            count = math.prod(shape)
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > size - fh.tell():
                 raise CheckpointError(f"truncated checkpoint payload for parameter {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            arrays[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"unexpected bytes after the last array in {path}")
     return arrays, header.get("extra")

@@ -1,12 +1,14 @@
-"""The names the benchmark calls into volsynth resolve.
+"""The names the benchmark calls into volsynth resolve, and its calls bind.
 
 ``perfbench/`` is read as source, not imported or changed: its tracer's
-``TARGETS``, every ``vs.<module>.<name>`` its workloads look up, and the CLI
-subcommands and flags they run. A deletion that breaks the benchmark fails here.
+``TARGETS``, every ``vs.<module>.<name>`` its workloads look up and the
+arguments they call it with, and the CLI subcommands and flags they run. A
+deletion or a changed signature that breaks the benchmark fails here.
 """
 
 import ast
 import importlib
+import inspect
 import os
 
 import pytest
@@ -43,6 +45,21 @@ def workload_lookups():
                    and is_vs(node.value.value)})
 
 
+def workload_calls():
+    """("module:name", line, positional count, keyword names) of every
+    ``vs.<module>.<name>(...)`` call in perfbench/workloads.py without ``*`` or ``**``."""
+    calls = []
+    for node in ast.walk(parsed("workloads.py")):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute) and is_vs(func.value.value)
+                and not any(isinstance(a, ast.Starred) for a in node.args)
+                and all(k.arg is not None for k in node.keywords)):
+            calls.append((f"{func.value.attr}:{func.attr}", node.lineno, len(node.args),
+                          [k.arg for k in node.keywords]))
+    return sorted(calls)
+
+
 def workload_commands():
     """(subcommand, its --flags) of every ``cli(vs, "<subcommand>", ...)`` call."""
     calls = []
@@ -73,6 +90,16 @@ def test_the_benchmark_reads_names_from_both_files():
     assert {"harness:run_regime", "cvae:train_cvae"} <= set(tracer_targets())
     assert {"gmm:fit_class_gmms", "cvae:train_cvae", "cli:main"} <= set(workload_lookups())
     assert {sub for sub, _ in workload_commands()} >= {"sample", "augment-eval", "report"}
+    assert {(target, positional) for target, _, positional, _ in workload_calls()} >= {
+        ("gmm:save_gmm", 2), ("cvae:save_cvae", 2), ("icwgan:save_gan", 6), ("cli:main", 1)}
+
+
+@pytest.mark.parametrize("target, line, positional, keywords", workload_calls(),
+                         ids=[f"{target}@{line}" for target, line, _, _ in workload_calls()])
+def test_a_call_the_benchmark_makes_binds_to_its_signature(target, line, positional,
+                                                             keywords):
+    """Binding raises TypeError for a call the callee's signature does not take."""
+    inspect.signature(resolve(target)).bind(*range(positional), **dict.fromkeys(keywords))
 
 
 @pytest.mark.parametrize("command, flags", workload_commands(),

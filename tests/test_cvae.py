@@ -6,7 +6,7 @@ import pytest
 from gradcheck import grad_check
 
 from volsynth import autodiff as ad
-from volsynth import cvae, nn
+from volsynth import cvae, harness, nn
 from volsynth.autodiff import Tensor
 from volsynth.datasets import VolumeDataset, make_blob_dataset
 from volsynth.volumes import Volume
@@ -222,7 +222,7 @@ class TestCheckpoint:
         model, _ = constant_volume_training
         path = tmp_path / "cvae.ckpt"
         cvae.save_cvae(model, path)
-        back, _ = cvae.load_cvae(path)
+        _, back = harness.load_generator(path)
         a = cvae.sample_cvae(model, 0, 2, seed=5)
         b = cvae.sample_cvae(back, 0, 2, seed=5)
         for va, vb in zip(a, b):

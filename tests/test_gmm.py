@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from volsynth import gmm as gm
-from volsynth import nn
+from volsynth import harness, nn
 from volsynth.gmm import ClassGMM, EMConfig, em_fit
 from volsynth.volumes import Mask
 
@@ -193,7 +193,7 @@ class TestCheckpoint:
         model = gm.fit_class_gmms(ds, mask, EMConfig(num_components=1, seed=0))
         path = tmp_path / "gmm.ckpt"
         gm.save_gmm(model, path)
-        back = gm.load_gmm(path)
+        _, back = harness.load_generator(path)
         assert back.trained_classes == model.trained_classes
         for c in model.trained_classes:
             assert np.array_equal(back.per_class[c].means, model.per_class[c].means)
@@ -216,4 +216,4 @@ class TestCheckpoint:
         with open(path, "ab") as fh:
             fh.write(b"22 bytes of stray data")
         with pytest.raises(nn.CheckpointError, match="after the last array"):
-            gm.load_gmm(path)
+            harness.load_generator(path)

@@ -1183,7 +1183,7 @@ class TestCorruptCheckpoint:
             self, kind, tmp_path):
         path = train_tiny(kind, tmp_path)
         good = path.read_bytes()
-        load = harness.GENERATORS[kind].load
+        load = harness.load_generator
 
         def flipped(bit):
             blob = bytearray(good)
@@ -1228,7 +1228,8 @@ class TestOlderCheckpoints:
         older = tmp_path / "older.ckpt"
         older.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + newline + payload)
         generator = harness.GENERATORS[kind]
-        draws = [np.stack([v.data for v in generator.sample(generator.load(p), 1, 5, 3)])
+        draws = [np.stack([v.data for v in generator.sample(harness.load_generator(p)[1],
+                                                            1, 5, 3)])
                  for p in (path, older)]
         assert draws[0].tobytes() == draws[1].tobytes()
 
@@ -1257,7 +1258,7 @@ class TestOutOfRangeHeader:
         path.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + newline + payload)
         [name] = change
         with pytest.raises(nn.CheckpointError, match=f"malformed checkpoint .*{name}"):
-            harness.GENERATORS[kind].load(path)
+            harness.load_generator(path)
         capsys.readouterr()
         out = tmp_path / "samples"
         assert cli_main(["sample", "--checkpoint", str(path), "--class-index", "0",
@@ -1313,7 +1314,7 @@ class TestMalformedGMMCheckpoint:
         arrays.update({name: rewrite(arrays[name]) for name, rewrite in change.items()})
         nn.save_checkpoint(path, arrays, extra=extra)
         with pytest.raises(nn.CheckpointError, match="malformed checkpoint"):
-            harness.GENERATORS["gmm"].load(path)
+            harness.load_generator(path)
         capsys.readouterr()
         out = tmp_path / "samples"
         assert cli_main(["sample", "--checkpoint", str(path), "--class-index", "0",
@@ -1390,3 +1391,83 @@ class TestSampleCLI:
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @staticmethod
+    def sample_fails(path, tmp_path, capsys):
+        """``sample``'s stderr from ``path``, once it has exited 1 without making ``--out``."""
+        capsys.readouterr()
+        out = tmp_path / "samples"
+        assert cli_main(["sample", "--checkpoint", str(path), "--class-index", "0",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        header, newline, payload = path.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        edit(doc)
+        path.write_bytes(json.dumps(doc, sort_keys=True).encode("utf-8") + newline + payload)
+
+    def test_a_size_claim_beyond_the_file_is_a_truncated_payload(self, tmp_path, capsys):
+        """A header that claims a 2^40-voxel mask is refused before any read: the file
+        does not hold the bytes, so nothing of that size is allocated."""
+        path = train_tiny("gmm", tmp_path)
+
+        def claim(doc):
+            [mask] = [spec for spec in doc["params"] if spec["name"] == "mask"]
+            mask["shape"] = [2 ** 40]
+
+        self.rewrite_header(path, claim)
+        with pytest.raises(nn.CheckpointError,
+                           match="truncated checkpoint payload for parameter 'mask'"):
+            harness.load_generator(path)
+        assert self.sample_fails(path, tmp_path, capsys) == (
+            "error: truncated checkpoint payload for parameter 'mask'\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(extra="gmm"),
+        lambda doc: doc["extra"].update(kind=["gmm"]),
+    ], ids=["extra_is_a_string", "kind_is_a_list"])
+    def test_a_header_of_the_wrong_type_is_not_a_generator_checkpoint(self, edit, tmp_path,
+                                                                      capsys):
+        path = train_tiny("gmm", tmp_path)
+        self.rewrite_header(path, edit)
+        with pytest.raises(nn.CheckpointError, match="is not a generator checkpoint"):
+            harness.load_generator(path)
+        assert self.sample_fails(path, tmp_path, capsys) == (
+            f"error: {path} is not a generator checkpoint\n")
+
+    @pytest.mark.parametrize("kind, block", [
+        ("dnn", {"channels": [3, 4], "epochs": 1, "batch_size": 4}),
+        ("svm", None),
+    ])
+    def test_a_classifier_checkpoint_is_not_a_generator_checkpoint(self, kind, block,
+                                                                   tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli_main(["synth-data", "--classes", "2", "--per-class", "4",
+                         "--dims", "8,8,8", "--out", str(data)]) == 0
+        path = tmp_path / "clf.ckpt"
+        argv = ["train-clf", "--manifest", str(data / "manifest.csv"), "--kind", kind,
+                "--out", str(path)]
+        if block is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(block))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert cli_main(argv) == 0
+        assert self.sample_fails(path, tmp_path, capsys) == (
+            f"error: {path} is not a generator checkpoint\n")
+
+    @pytest.mark.parametrize("kind", sorted(TINY_BLOCKS))
+    def test_one_sample_call_reads_its_checkpoint_once(self, kind, tmp_path, monkeypatch):
+        path = train_tiny(kind, tmp_path)
+        reads = []
+        load_checkpoint = nn.load_checkpoint
+
+        def counted(*args):
+            reads.append(args)
+            return load_checkpoint(*args)
+
+        monkeypatch.setattr(nn, "load_checkpoint", counted)
+        assert cli_main(["sample", "--checkpoint", str(path), "--class-index", "1",
+                         "-n", "2", "--out", str(tmp_path / "samples")]) == 0
+        assert reads == [(str(path),)]

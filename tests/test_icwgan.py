@@ -586,7 +586,7 @@ class TestSampling:
         gen, disc, cfg, ds = trained
         path = tmp_path / "gan.ckpt"
         icwgan.save_gan(gen, disc, path, ds.dims, ds.num_classes, cfg)
-        gen2, _, _ = icwgan.load_gan(path)
+        _, gen2 = harness.load_generator(path)
         a = icwgan.sample_gan(gen, 0, 3, seed=17)
         b = icwgan.sample_gan(gen2, 0, 3, seed=17)
         for va, vb in zip(a, b):
