@@ -90,6 +90,13 @@ def train_svm(features, labels, reg_c=SVMConfig.reg_c, epochs=SVMConfig.epochs, 
     return LinearSVMModel(weights=beta.T @ x, biases=b, reg_c=reg_c, mask=mask)
 
 
+def save_svm(model, path):
+    arrays = {"weights": model.weights, "biases": model.biases,
+              "mask": model.mask.bits.astype(np.float64)}
+    extra = {"kind": "svm_classifier", "mask_dims": list(model.mask.dims), "reg_c": model.reg_c}
+    nn.save_checkpoint(path, arrays, precision="float64", extra=extra)
+
+
 # ---------------------------------------------------------------------------
 # 3D conv-net classifier
 # ---------------------------------------------------------------------------
@@ -108,6 +115,7 @@ class DNNClassifier(nn.Module):
     """Critic-shaped tower without label concatenation; dense head to logits."""
 
     def __init__(self, dims, num_classes, config, rng):
+        self.dims = tuple(dims)
         self.num_classes = num_classes
         self.config = config
         self.tower = nn.ConvTower(dims, 1, config.channels, rng, "clf")
@@ -123,6 +131,11 @@ class DNNClassifier(nn.Module):
         logits = nn.in_chunks(lambda x: self.forward(Tensor(x.astype(dtype))).data,
                               volumes_array)
         return np.argmax(logits, axis=1)
+
+
+def save_dnn(model, path):
+    nn.save_model(path, "dnn_classifier", model.config, ("channels", "dtype"), model.dims,
+                  model.num_classes, model)
 
 
 @dataclass
@@ -159,10 +172,8 @@ def train_dnn_classifier(volumes, labels, config, num_classes=None,
     best = (-np.inf, None, config.epochs - 1)   # (score, state, epoch)
     n = x_all.shape[0]
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
         total, batches = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for idx in nn.batches(rng.permutation(n), config.batch_size, 1):
             logits = model.forward(Tensor(x_all[idx]))
             loss = ad.softmax_cross_entropy(logits, onehots[idx])
             grads = ad.backward(loss, params)

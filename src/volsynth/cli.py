@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
 
@@ -31,14 +30,9 @@ def _dims(text):
     return parts
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _models_from_args(kind, args):
     """A ``models`` dict holding the ``--config`` JSON block (if any) as ``kind``'s."""
-    return {kind: _load_json(args.config)} if args.config else {}
+    return {kind: harness.read_json(args.config)} if args.config else {}
 
 
 def cmd_synth_data(args):
@@ -114,19 +108,10 @@ def cmd_sample(args):
 
 def cmd_train_clf(args):
     dataset = load_dataset(args.manifest)
-    mask = compute_mask(dataset.volumes, strategy=args.mask_strategy) \
-        if args.kind == "svm" else None
-    model = harness.fit_classifier(args.kind, _models_from_args(args.kind, args), dataset,
-                                   mask, args.seed)
-    if args.kind == "dnn":
-        nn.save_model(args.out, "dnn_classifier", model.config, ("channels", "dtype"),
-                      dataset.dims, dataset.num_classes, model)
-    else:
-        arrays = {"weights": model.weights, "biases": model.biases,
-                  "mask": mask.bits.astype(np.float64)}
-        extra = {"kind": "svm_classifier", "mask_dims": list(mask.dims),
-                 "reg_c": model.reg_c}
-        nn.save_checkpoint(args.out, arrays, precision="float64", extra=extra)
+    mask = compute_mask(dataset.volumes, strategy=args.mask_strategy)
+    classifier = harness.CLASSIFIERS[args.kind]
+    model = classifier.fit(dataset, _models_from_args(args.kind, args), args.seed, mask, None)
+    classifier.save(model, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -153,7 +138,7 @@ def _cell_configs(raw, single_model):
 
 
 def cmd_augment_eval(args):
-    raw = _load_json(args.config)
+    raw = harness.read_json(args.config)
     configs = _cell_configs(raw, args.single_model)
     out_dir = args.out or raw.get("output_dir") or "runs"
     existing = os.path.abspath(out_dir)   # --out or the nearest ancestor that exists
@@ -183,20 +168,19 @@ def cmd_augment_eval(args):
 
 
 def _write_tables(runs, out_dir):
-    """report.csv and variance.csv of stored runs; returns both texts."""
-    tables = []
-    for which, name in (("mean", "report.csv"), ("variance", "variance.csv")):
-        tables.append(harness.rows_from_stored(runs, which))
+    """report.csv and variance.csv of stored runs, both built before either is written;
+    returns both texts."""
+    tables = [harness.rows_from_stored(runs, which) for which in ("mean", "variance")]
+    for name, text in zip(("report.csv", "variance.csv"), tables):
         with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(tables[-1])
+            fh.write(text)
     return tables
 
 
 def cmd_report(args):
     paths = sorted(glob.glob(os.path.join(args.runs, "run_*.json")))
     if not paths:
-        print(f"error: no run_*.json files under {args.runs}", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"no run_*.json files under {args.runs}")
     mean_csv, var_csv = _write_tables([harness.load_run_json(p) for p in paths], args.runs)
     sys.stdout.write(mean_csv)
     sys.stdout.write("variance:\n")
@@ -258,7 +242,7 @@ def build_parser():
 
     p = sub.add_parser("train-clf", help="train a classifier on a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", choices=["dnn", "svm"], default="dnn")
+    p.add_argument("--kind", choices=harness.CLASSIFIER_KINDS, default="dnn")
     p.add_argument("--config", default=None, help="JSON block of DNN or SVM fields")
     p.add_argument("--mask-strategy", default="nonconstant", choices=MASK_STRATEGIES)
     p.add_argument("--seed", type=int, default=0)

@@ -129,11 +129,9 @@ def train_cvae(dataset, config):
 
     history = CVAEHistory()
     for _ in range(config.epochs):
-        order = rng.permutation(n)
         parts_sum = np.zeros(2)
         batches = 0
-        for start in range(0, n - 1, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for idx in nn.batches(rng.permutation(n), config.batch_size, 2):  # batchnorm: 2 rows
             x = Tensor(volumes[idx])
             y = Tensor(labels[idx])
             mu, logvar = model.encode(x, y)

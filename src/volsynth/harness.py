@@ -29,7 +29,7 @@ from . import nn
 from .datasets import (NOISY, REAL, SMALL_CLASS_MIN, SYNTHETIC, VolumeDataset, class_ratios,
                        load_dataset, make_blob_dataset, stratified_kfold)
 from .nn import ConfigError
-from .volumes import MASK_STRATEGIES, add_gaussian_noise, apply_mask, compute_mask
+from .volumes import MASK_STRATEGIES, add_gaussian_noise, compute_mask
 
 # the fields each regime uses, each with its unset value; a config sets its
 # regime's fields and leaves every other regime's fields unset
@@ -37,8 +37,6 @@ REGIME_FIELDS = {"real": {},
                  "real_noise": {"noise_per_class": 0, "noise_variance": 0},
                  "real_synth": {"generator": None, "synth_per_class": 0}}
 REGIMES = tuple(REGIME_FIELDS)
-GENERATOR_KINDS = ("gmm", "cvae", "icwgan")
-CLASSIFIER_KINDS = ("svm", "dnn")
 
 REGIME_LABELS = {"real": "Real", "real_noise": "Real+noise", "real_synth": "Real+Synth."}
 GENERATOR_LABELS = {None: "-", "gmm": "GMM", "cvae": "CVAE", "icwgan": "ICW-GAN"}
@@ -129,6 +127,15 @@ class ExperimentConfig(nn.Config):
             model_config(kind, self.models, self.seed)
 
     from_dict = classmethod(nn.model_config)
+
+
+def read_json(path):
+    """The JSON document in ``path``; one that does not parse raises ValueError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def load_config_dataset(spec):
@@ -243,6 +250,34 @@ GENERATORS = {
         sample=lambda gen, c, count, seed: gan_mod.sample_gan(gen, c, count, seed),
         load=lambda arrays, extra: gan_mod.load_gan(arrays, extra)),
 }
+GENERATOR_KINDS = tuple(GENERATORS)
+
+
+class ClassifierKind(NamedTuple):
+    """How the harness and the CLI fit, apply and save one classifier kind."""
+
+    fit: Callable       # (train dataset, models block, seed, mask, val dataset or None) -> model
+    predict: Callable   # (model, dataset) -> class indices
+    save: Callable      # (model, path)
+
+
+# the SVM reads the voxels under its mask (float64 rows, as ``apply_mask``), the DNN the
+# float32 volumes, keeping its best epoch on ``val`` if given; ``report.csv`` keeps this order
+CLASSIFIERS = {
+    "svm": ClassifierKind(
+        fit=lambda train, models, seed, mask, val: clf.train_svm(
+            train.stack()[:, 0, mask.bits], train.labels,
+            **vars(model_config("svm", models, seed)), mask=mask),
+        predict=lambda model, dataset: model.predict(dataset.stack()[:, 0, model.mask.bits]),
+        save=lambda model, path: clf.save_svm(model, path)),
+    "dnn": ClassifierKind(
+        fit=lambda train, models, seed, mask, val: clf.train_dnn_classifier(
+            train.stack(np.float32), train.labels, model_config("dnn", models, seed),
+            train.num_classes, *(() if val is None else (val.stack(np.float32), val.labels)))[0],
+        predict=lambda model, dataset: model.predict(dataset.stack(np.float32)),
+        save=lambda model, path: clf.save_dnn(model, path)),
+}
+CLASSIFIER_KINDS = tuple(CLASSIFIERS)
 
 
 def load_generator(path):
@@ -342,42 +377,6 @@ def _augment(config, dataset, train_idx, generator, synth_seed, noise_seed):
     return train_ds.extended(volumes, labels, NOISY)
 
 
-def fit_classifier(kind, models, train, mask, seed, val=None):
-    """A ``kind`` classifier fit on ``train`` from its ``models`` block.
-
-    The SVM learns from the voxels under ``mask`` and keeps that mask; the DNN
-    keeps its best epoch on ``val`` when that is given, else its last.
-    """
-    cfg = model_config(kind, models, seed)
-    if kind == "svm":
-        features = np.asarray([apply_mask(v, mask) for v in train.volumes])
-        return clf.train_svm(features, train.labels, cfg.reg_c, cfg.epochs, mask=mask)
-    model, _ = clf.train_dnn_classifier(
-        train.stack(np.float32), train.labels, cfg, num_classes=train.num_classes,
-        val_volumes=None if val is None else val.stack(np.float32),
-        val_labels=None if val is None else val.labels)
-    return model
-
-
-def apply_classifier(model, dataset):
-    """A fitted classifier's class predictions for ``dataset``'s volumes."""
-    if isinstance(model, clf.LinearSVMModel):
-        return model.predict(np.asarray([apply_mask(v, model.mask) for v in dataset.volumes]))
-    return model.predict(dataset.stack(np.float32))
-
-
-def _train_and_eval_classifier(config, dataset, aug_train, val_idx, test_idx,
-                               mask, clf_seed):
-    test_ds = dataset.subset(test_idx)
-    if any(p != REAL for p in test_ds.provenance):
-        raise LeakError("synthetic data leaked into test")
-    if any(dataset.provenance[i] != REAL for i in val_idx):
-        raise LeakError("synthetic data leaked into validation")
-    model = fit_classifier(config.classifier, config.models, aug_train, mask, clf_seed,
-                           dataset.subset(val_idx) if val_idx else None)
-    return clf.evaluate(apply_classifier(model, test_ds), test_ds.labels, dataset.num_classes)
-
-
 class Unit(NamedTuple):
     """One (fold, repeat) of a regime/classifier pair, split and seeded."""
 
@@ -422,11 +421,16 @@ def plan_units(config, dataset):
 
 
 def run_unit(dataset, unit):
-    """(metrics, seconds) of one unit: mask, generator fit, augmentation,
-    classifier training and evaluation on the unit's test split."""
+    """(metrics, seconds) of one unit: leak checks, mask, generator fit,
+    augmentation, classifier training and evaluation on the unit's test split."""
     t0 = time.time()
     config = unit.config
     gen_seed, synth_seed, noise_seed, clf_seed = unit.seeds
+    test_ds = dataset.subset(unit.test)
+    if any(p != REAL for p in test_ds.provenance):
+        raise LeakError("synthetic data leaked into test")
+    if any(dataset.provenance[i] != REAL for i in unit.val):
+        raise LeakError("synthetic data leaked into validation")
     mask = compute_mask([dataset.volumes[i] for i in unit.train],
                         strategy=config.mask_strategy)
     generator = unit.generator
@@ -434,9 +438,11 @@ def run_unit(dataset, unit):
         generator = GENERATORS[config.generator].fit(
             dataset, unit.train, config.models, gen_seed, mask)
     aug_train = _augment(config, dataset, unit.train, generator, synth_seed, noise_seed)
-    metrics = _train_and_eval_classifier(
-        config, dataset, aug_train, unit.val, unit.test, mask, clf_seed)
-    return metrics, time.time() - t0
+    classifier = CLASSIFIERS[config.classifier]
+    model = classifier.fit(aug_train, config.models, clf_seed, mask,
+                           dataset.subset(unit.val) if unit.val else None)
+    predictions = classifier.predict(model, test_ds)
+    return clf.evaluate(predictions, test_ds.labels, dataset.num_classes), time.time() - t0
 
 
 def run_plans(dataset, plans, log=None):
@@ -617,30 +623,37 @@ def write_run_json(report, path):
         fh.write("\n")
 
 
+# the names a stored run may give, each in table order: no generator before each kind
+RUN_NAMES = {"regime": REGIMES, "generator": (None,) + GENERATOR_KINDS,
+             "classifier": CLASSIFIER_KINDS}
+
+
 def load_run_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _table_order(run):
-    """Canonical row order: regime, then no generator before each kind, then classifier."""
-    return (REGIMES.index(run["regime"]),
-            ((None,) + GENERATOR_KINDS).index(run.get("generator")),
-            CLASSIFIER_KINDS.index(run["classifier"]))
+    """A stored run (``RunReport.to_dict`` form) whose names are known and whose mean and
+    variance hold every metric as a number; any other document raises ConfigError."""
+    run = read_json(path)
+    try:
+        for name, known in RUN_NAMES.items():
+            if not isinstance(run, dict) or name not in run:
+                raise ConfigError(f"a run is a JSON object with a {name!r} field")
+            if run[name] not in known:
+                raise ConfigError(f"{name} must be one of {known}, got {run[name]!r}")
+        aggregate = nn.read_config(run.get("aggregate"), {"mean": dict, "variance": dict},
+                                   "aggregate")
+        for which, metrics in aggregate.items():
+            nn.read_config(metrics, dict.fromkeys(METRIC_NAMES, float), f"aggregate {which}")
+    except ConfigError as exc:
+        raise ConfigError(f"{path} is not a stored run: {exc}") from None
+    return run
 
 
 def rows_from_stored(runs, which="mean"):
     """The mean or variance table of stored runs (``RunReport.to_dict()`` form)."""
     rows = [REPORT_HEADER]
-    for run in sorted(runs, key=_table_order):
+    for run in sorted(runs, key=lambda r: [names.index(r[k]) for k, names in RUN_NAMES.items()]):
         agg = run["aggregate"][which]
-        rows.append(",".join([
-            REGIME_LABELS[run["regime"]],
-            GENERATOR_LABELS[run.get("generator")],
-            run["classifier"].upper(),
-            repr(agg["accuracy"]), repr(agg["macro_f1"]),
-            repr(agg["precision"]), repr(agg["recall"]),
-        ]))
+        rows.append(",".join([REGIME_LABELS[run["regime"]], GENERATOR_LABELS[run["generator"]],
+                              run["classifier"].upper(), *(repr(agg[m]) for m in METRIC_NAMES)]))
     return "\n".join(rows) + "\n"
 
 
@@ -703,9 +716,9 @@ def blob_benchmark(seed, profiles=None, log=None, num_classes=4, dims=(16, 16, 1
     train_idx, _, test_idx = cell
     train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
     mask = compute_mask(train_ds.volumes, strategy=real.mask_strategy)
-    oracle = fit_classifier("svm", models, train_ds, mask, seed)
-    results["oracle_accuracy"] = float(
-        (apply_classifier(oracle, test_ds) == test_ds.labels).mean())
+    svm = CLASSIFIERS["svm"]
+    oracle = svm.fit(train_ds, models, seed, mask, None)
+    results["oracle_accuracy"] = float((svm.predict(oracle, test_ds) == test_ds.labels).mean())
     say(f"[seed {seed}] oracle SVM accuracy {results['oracle_accuracy']:.4f}")
 
     # share of 50 samples per class that the oracle labels as their class
@@ -715,10 +728,9 @@ def blob_benchmark(seed, profiles=None, log=None, num_classes=4, dims=(16, 16, 1
         model = GENERATORS[kind].fit(dataset, train_idx, models, seed, mask)
         hits = 0
         for c in range(dataset.num_classes):
-            samples = GENERATORS[kind].sample(model, c, 50, seed + seed_offset + c)
-            predictions = apply_classifier(oracle, VolumeDataset(samples, [c] * 50,
-                                                                 dataset.class_table))
-            hits += int((predictions == c).sum())
+            samples = VolumeDataset(GENERATORS[kind].sample(model, c, 50, seed + seed_offset + c),
+                                    [c] * 50, dataset.class_table)
+            hits += int((svm.predict(oracle, samples) == c).sum())
         results[key] = hits / (50 * dataset.num_classes)
         say(f"[seed {seed}] {GENERATOR_LABELS[kind]} consistency {results[key]:.4f} "
             f"({time.time() - t0:.0f}s)")

@@ -182,9 +182,7 @@ def train_icwgan(dataset, config):
     step = 0
     critic_since_gen = 0
     for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n - config.batch_size + 1, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for idx in nn.batches(rng.permutation(n), config.batch_size, config.batch_size):
             x_real = Tensor(volumes[idx])
             y = Tensor(labels[idx])
             z = Tensor(rng.standard_normal((idx.size, config.z_dim)).astype(dtype))

@@ -207,6 +207,12 @@ def in_chunks(forward, *arrays):
                            for i in range(0, n, INFERENCE_CHUNK)])
 
 
+def batches(order, batch_size, min_rows):
+    """``order`` cut into ``batch_size``-row slices, less a last slice shorter than
+    ``min_rows`` (at most ``batch_size``): one training pass's minibatches."""
+    return [order[s:s + batch_size] for s in range(0, len(order) - min_rows + 1, batch_size)]
+
+
 def sample_prior(decode, num_classes, z_dim, dtype, class_index, count, seed):
     """``count`` volumes of one class decoded from standard-normal latents.
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volsynth import classifiers as clf
+from volsynth import harness, nn
 from volsynth.datasets import make_blob_dataset, one_hot
-from volsynth.volumes import Mask
+from volsynth.volumes import Mask, compute_mask
 
 
 def primal_svm(x, y, reg_c, epochs):
@@ -132,6 +133,46 @@ class TestDNN:
         config = clf.DNNConfig()
         with pytest.raises(ValueError):
             clf.train_dnn_classifier(np.zeros((0, 1, 8, 8, 8)), [], config)
+
+
+class TestClassifierFiles:
+    """A classifier file holds the model that wrote it: rebuilt from the file's arrays
+    and header alone, it scores held-out volumes exactly as the fitted model does."""
+
+    MODELS = {"svm": {"epochs": 50}, "dnn": {"channels": [3, 4], "epochs": 2, "batch_size": 4}}
+
+    @staticmethod
+    def rebuilt(kind, arrays, extra):
+        if kind == "dnn":
+            config = nn.model_config(clf.DNNConfig, {k: extra[k] for k in ("channels", "dtype")})
+            model = clf.DNNClassifier(extra["dims"], extra["num_classes"], config,
+                                      np.random.default_rng(0))
+            nn.load_state(arrays, model)
+            return model
+        mask = Mask(arrays["mask"].reshape(extra["mask_dims"]) > 0.5)
+        return clf.LinearSVMModel(arrays["weights"], arrays["biases"], extra["reg_c"], mask)
+
+    @staticmethod
+    def scores(kind, model, dataset):
+        if kind == "dnn":
+            return model.forward(dataset.stack(np.float32)).data
+        return model.scores(dataset.stack()[:, 0, model.mask.bits])
+
+    @pytest.mark.parametrize("kind", harness.CLASSIFIER_KINDS)
+    def test_a_classifier_file_holds_the_model_that_wrote_it(self, kind, tmp_path):
+        dataset = make_blob_dataset(3, 8, (8, 8, 8), seed=2)
+        train, held_out = dataset.subset(range(0, 24, 2)), dataset.subset(range(1, 24, 2))
+        table = harness.CLASSIFIERS[kind]
+        model = table.fit(train, self.MODELS, 7, compute_mask(train.volumes), None)
+        path = tmp_path / f"{kind}.ckpt"
+        table.save(model, path)
+        loaded = self.rebuilt(kind, *nn.load_checkpoint(path))
+        assert table.predict(loaded, held_out).tobytes() == table.predict(model, held_out).tobytes()
+        assert (self.scores(kind, loaded, held_out).tobytes()
+                == self.scores(kind, model, held_out).tobytes())
+        # the same seed fits the same model again
+        again = table.fit(train, self.MODELS, 7, compute_mask(train.volumes), None)
+        assert table.predict(again, held_out).tobytes() == table.predict(loaded, held_out).tobytes()
 
 
 class TestEvaluate:

@@ -518,7 +518,7 @@ class TestRunRegime:
                 print(exc)
             leaky = dataset.extended([dataset.volumes[0]], [0], SYNTHETIC)
             try:
-                harness._train_and_eval_classifier(config, leaky, leaky, [], [8], None, 0)
+                harness.run_unit(leaky, harness.Unit(config, 0, 0, [0], [], [8], [0] * 4, None))
             except harness.LeakError as exc:
                 print(exc)
         """)
@@ -572,6 +572,21 @@ class TestGeneratorFit:
         states = [model_state(kind, fit(ds, idx, self.MODELS, 3, mask))
                   for ds in (dataset, changed)]
         assert states[0] and states[0] == states[1]
+
+
+class TestClassifierTable:
+    def test_every_models_block_is_one_generator_or_one_classifier(self):
+        assert not set(harness.GENERATORS) & set(harness.CLASSIFIERS)
+        assert set(harness.MODEL_CONFIGS) == set(harness.GENERATORS) | set(harness.CLASSIFIERS)
+
+    def test_classifier_kinds_are_the_tables_in_report_order(self):
+        # report.csv lists a cell's SVM row before its DNN row
+        assert harness.CLASSIFIER_KINDS == tuple(harness.CLASSIFIERS) == ("svm", "dnn")
+
+    def test_train_clf_offers_every_classifier_kind(self):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        [kind] = [a for a in subparsers.choices["train-clf"]._actions if a.dest == "kind"]
+        assert tuple(kind.choices) == harness.CLASSIFIER_KINDS
 
 
 class TestBlobBenchmark:
@@ -803,6 +818,51 @@ class TestCLI:
         assert self.run_cli("report", "--runs", str(out1)) == 0
         for name, before in tables.items():
             assert (out1 / name).read_bytes() == before, name
+
+    @pytest.mark.parametrize("command", ["train-clf", "augment-eval"])
+    def test_a_config_file_that_is_not_json_exits_1_naming_it(self, tmp_path, capsys,
+                                                               command):
+        data = tmp_path / "data"
+        assert self.run_cli("synth-data", "--classes", "2", "--per-class", "3",
+                            "--dims", "4,4,4", "--out", str(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{epochs: 2}")
+        out = tmp_path / "out"
+        manifest = [] if command == "augment-eval" else ["--manifest", str(data / "manifest.csv")]
+        capsys.readouterr()
+        assert self.run_cli(command, *manifest, "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg} is not valid JSON: Expecting property name enclosed in double "
+            f"quotes: line 1 column 2 (char 1)\n")
+        assert not out.exists()
+
+    STORED_RUN = {"regime": "real", "generator": None, "classifier": "svm", "entries": [],
+                  "aggregate": {"mean": dict.fromkeys(harness.METRIC_NAMES, 0.5),
+                                "variance": dict.fromkeys(harness.METRIC_NAMES, 0.0)}}
+
+    @pytest.mark.parametrize("text, message", [
+        ("{regime: 1}", "is not valid JSON: Expecting property name"),
+        (json.dumps({k: v for k, v in STORED_RUN.items() if k != "aggregate"}),
+         "is not a stored run: aggregate must be a JSON object, got None"),
+        (json.dumps(dict(STORED_RUN, regime="weird")),
+         "is not a stored run: regime must be one of ('real', 'real_noise', 'real_synth'), "
+         "got 'weird'"),
+        (json.dumps([STORED_RUN]),
+         "is not a stored run: a run is a JSON object with a 'regime' field"),
+        (json.dumps(dict(STORED_RUN, aggregate={"mean": STORED_RUN["aggregate"]["mean"]})),
+         "is not a stored run: aggregate requires 'variance'"),
+    ], ids=["not-json", "no-aggregate", "unknown-regime", "json-list", "mean-only"])
+    def test_report_on_a_malformed_run_exits_1_and_writes_neither_table(
+            self, tmp_path, capsys, text, message):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run_a.json").write_text(json.dumps(self.STORED_RUN))
+        bad = runs / "run_b.json"
+        bad.write_text(text)
+        assert self.run_cli("report", "--runs", str(runs)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} {message}") and "Traceback" not in err
+        assert sorted(os.listdir(runs)) == ["run_a.json", "run_b.json"]
 
     @pytest.mark.parametrize("change, message", [
         ({"models": {"icwgan": {"bogus": 1}}}, "unknown GANConfig fields: ['bogus']"),
